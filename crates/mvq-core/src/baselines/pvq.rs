@@ -3,9 +3,7 @@
 //! The paper's Tables 4/6 compare MVQ against 2-bit PvQ on MobileNets,
 //! EfficientNet and DeepLab.
 
-use mvq_nn::layers::Sequential;
 use mvq_tensor::{quantize_symmetric, Tensor};
-use rand::SeedableRng;
 
 use crate::error::MvqError;
 
@@ -67,40 +65,10 @@ pub fn pvq_quantize(weight: &Tensor, bits: u32) -> Result<PvqResult, MvqError> {
     Ok(PvqResult { quantized, scale: s, bits, sse })
 }
 
-/// Applies PvQ to every conv layer of a model (depthwise included —
-/// scalar quantization has no shape constraints), writes the quantized
-/// weights back, and returns the per-layer artifacts with the same
-/// `storage()` / `compression_ratio()` / `reconstructions()` surface as
-/// every other model-level compression path.
-///
-/// # Errors
-///
-/// Propagates per-layer quantization errors.
-pub fn pvq_compress_model(
-    model: &mut Sequential,
-    bits: u32,
-) -> Result<crate::pipeline::ModelArtifacts, MvqError> {
-    use crate::pipeline::Compressor;
-    // scalar quantization is deterministic; the RNG is unused
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-    crate::pipeline::Pvq { bits }.compress_model(model, &mut rng)
-}
-
-/// Historical in-place mutation API; returns only the summed SSE.
-///
-/// # Errors
-///
-/// Propagates per-layer quantization errors.
-#[deprecated(note = "use `pvq_compress_model`, which returns artifacts like \
-                     the other model-level paths")]
-pub fn pvq_quantize_model(model: &mut Sequential, bits: u32) -> Result<f32, MvqError> {
-    let artifacts = pvq_compress_model(model, bits)?;
-    Ok(artifacts.total_sse().expect("scalar artifacts always record SSE") as f32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{by_name, PipelineSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -133,7 +101,8 @@ mod tests {
     fn model_quantization_applies_to_all_convs() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut model = mvq_nn::models::tiny_cnn(3, 8, &mut rng);
-        let artifacts = pvq_compress_model(&mut model, 2).unwrap();
+        let pvq = by_name("pvq", &PipelineSpec::default().with_scalar_bits(2)).unwrap();
+        let artifacts = pvq.compress_model(&mut model, &mut rng).unwrap();
         assert!(artifacts.total_sse().unwrap() > 0.0);
         assert_eq!(artifacts.layers.len(), model.num_convs());
         assert!(artifacts.skipped.is_empty());
@@ -146,17 +115,6 @@ mod tests {
             vals.dedup();
             assert!(vals.len() <= 4, "{} distinct values", vals.len());
         });
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrapper_reports_summed_sse() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut model = mvq_nn::models::tiny_cnn(3, 8, &mut rng);
-        let mut reference = mvq_nn::models::tiny_cnn(3, 8, &mut StdRng::seed_from_u64(3));
-        let sse = pvq_quantize_model(&mut model, 2).unwrap();
-        let artifacts = pvq_compress_model(&mut reference, 2).unwrap();
-        assert!((sse as f64 - artifacts.total_sse().unwrap()).abs() < 1e-3);
     }
 
     #[test]

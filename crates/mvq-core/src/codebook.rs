@@ -114,6 +114,21 @@ impl Codebook {
         self.bits
     }
 
+    /// Whether `other` is this codebook bit for bit: same dims, centers
+    /// and quantization metadata. Model storage and codebook fine-tuning
+    /// treat bit-identical codebooks as one shared codebook.
+    pub(crate) fn bit_identical(&self, other: &Codebook) -> bool {
+        self.bits == other.bits
+            && self.scale.map(f32::to_bits) == other.scale.map(f32::to_bits)
+            && self.centers.dims() == other.centers.dims()
+            && self
+                .centers
+                .data()
+                .iter()
+                .zip(other.centers.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
     /// Bits needed to store one assignment index: `⌈log2 k⌉`.
     pub fn index_bits(&self) -> u32 {
         let k = self.k() as u64;

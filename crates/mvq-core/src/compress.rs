@@ -270,8 +270,7 @@ impl CompressedMatrix {
         self.grouping.ungroup(&grouped, &self.orig_dims, self.mask.d())
     }
 
-    /// Decomposes into `(codebook, assignments, mask, orig_dims)` — used
-    /// by the model-level pipeline to pool per-layer codebooks.
+    /// Decomposes into `(codebook, assignments, mask, orig_dims)`.
     pub fn into_parts(self) -> (Codebook, Assignments, NmMask, Vec<usize>) {
         (self.codebook, self.assignments, self.mask, self.orig_dims)
     }

@@ -7,7 +7,8 @@
 //! `c_i ← c_i − O(Σ_p (∂L/∂v_p ∘ n_p) / Σ_p n_p, θ)` —
 //! so zero-gradients of pruned lanes cannot dilute the update. Quantized
 //! codebooks are re-snapped to their grid after every step
-//! (straight-through estimation).
+//! (straight-through estimation). A codebook shared by several layers
+//! (crosslayer scope) pools the gradients of every layer that uses it.
 
 use mvq_nn::data::SyntheticClassification;
 use mvq_nn::layers::Sequential;
@@ -18,8 +19,9 @@ use mvq_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::codebook::Codebook;
 use crate::error::MvqError;
-use crate::model_compress::CompressedModel;
+use crate::pipeline::{CompressedArtifact, ModelArtifacts};
 
 /// Hyperparameters for codebook fine-tuning.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,15 +40,18 @@ impl Default for CodebookFinetuneConfig {
     }
 }
 
-/// Fine-tunes the codebooks of `compressed` on `data`, keeping
-/// `model`'s decoded weights in sync. Returns the mean loss per epoch.
+/// Fine-tunes the codebooks of the MVQ `artifacts` on `data`, keeping
+/// `model`'s decoded weights in sync. Bit-identical codebooks are one
+/// shared codebook: it trains as one parameter, and every layer that uses
+/// it gets the updated copy. Returns the mean loss per epoch.
 ///
 /// # Errors
 ///
-/// Propagates model and reconstruction errors.
+/// Returns [`MvqError::InvalidConfig`] for non-masked artifacts, and
+/// propagates model and reconstruction errors.
 pub fn finetune_codebooks<R: Rng>(
     model: &mut Sequential,
-    compressed: &mut CompressedModel,
+    artifacts: &mut ModelArtifacts,
     data: &SyntheticClassification,
     cfg: &CodebookFinetuneConfig,
     rng: &mut R,
@@ -58,9 +63,10 @@ pub fn finetune_codebooks<R: Rng>(
     let n = data.n_train();
     let mut order: Vec<usize> = (0..n).collect();
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
+    let (mut codebooks, slot_of) = distinct_codebooks(artifacts)?;
     // wrap each codebook in a Param so the shared optimizer machinery applies
     let mut cb_params: Vec<Param> =
-        compressed.codebooks.iter().map(|cb| Param::new(cb.centers().clone())).collect();
+        codebooks.iter().map(|cb| Param::new(cb.centers().clone())).collect();
     for _ in 0..cfg.epochs {
         order.shuffle(rng);
         let mut total = 0.0f64;
@@ -69,20 +75,26 @@ pub fn finetune_codebooks<R: Rng>(
         while start < n {
             let end = (start + cfg.batch_size).min(n);
             let (xb, yb) = gather(data, &order[start..end]);
-            compressed.apply_to(model)?;
+            artifacts.apply_to(model)?;
             model.zero_grad();
             let logits = model.forward(&xb, true)?;
             let (loss, grad) = cross_entropy(&logits, &yb)?;
             model.backward(&grad)?;
-            accumulate_masked_codebook_grads(model, compressed, &mut cb_params)?;
+            accumulate_masked_codebook_grads(model, artifacts, &slot_of, &mut cb_params)?;
             for (slot, p) in cb_params.iter_mut().enumerate() {
                 opt.step_param(p, slot);
                 p.zero_grad();
             }
-            // write updated centers back and re-snap to the int grid
-            for (cb, p) in compressed.codebooks.iter_mut().zip(&cb_params) {
+            // write updated centers back, re-snap to the int grid, and hand
+            // every layer its codebook's copy
+            for (cb, p) in codebooks.iter_mut().zip(&cb_params) {
                 *cb.centers_mut() = p.value.clone();
                 cb.requantize()?;
+            }
+            for (layer, &slot) in artifacts.layers.iter_mut().zip(&slot_of) {
+                if let CompressedArtifact::Masked(cm) = &mut layer.artifact {
+                    *cm.codebook_mut() = codebooks[slot].clone();
+                }
             }
             total += loss as f64;
             batches += 1;
@@ -90,33 +102,51 @@ pub fn finetune_codebooks<R: Rng>(
         }
         epoch_losses.push((total / batches.max(1) as f64) as f32);
     }
-    compressed.apply_to(model)?;
+    artifacts.apply_to(model)?;
     Ok(epoch_losses)
 }
 
+/// The distinct codebooks of `artifacts` in first-occurrence layer order,
+/// plus each layer's index into that list.
+fn distinct_codebooks(artifacts: &ModelArtifacts) -> Result<(Vec<Codebook>, Vec<usize>), MvqError> {
+    let mut distinct: Vec<Codebook> = Vec::new();
+    let mut slot_of = Vec::with_capacity(artifacts.layers.len());
+    for layer in &artifacts.layers {
+        let cb = layer.artifact.as_masked()?.codebook();
+        let slot = distinct.iter().position(|d| d.bit_identical(cb)).unwrap_or_else(|| {
+            distinct.push(cb.clone());
+            distinct.len() - 1
+        });
+        slot_of.push(slot);
+    }
+    Ok((distinct, slot_of))
+}
+
 /// Computes Eq. 6's masked codeword gradients from the conv weight
-/// gradients currently stored in `model`.
+/// gradients currently stored in `model`, pooled over every layer that
+/// shares a codebook (`slot_of[i]` is layer `i`'s codebook).
 fn accumulate_masked_codebook_grads(
-    model: &mut Sequential,
-    compressed: &CompressedModel,
+    model: &Sequential,
+    artifacts: &ModelArtifacts,
+    slot_of: &[usize],
     cb_params: &mut [Param],
 ) -> Result<(), MvqError> {
     // gather conv weight grads by depth-first index
     let mut grads: Vec<Tensor> = Vec::new();
-    model.visit_convs_mut(&mut |conv| grads.push(conv.weight.grad.clone()));
+    model.visit_convs(&mut |conv| grads.push(conv.weight.grad.clone()));
     // per-codebook lane-wise numerator and denominator
     let mut sums: Vec<Vec<f64>> = cb_params.iter().map(|p| vec![0.0f64; p.value.numel()]).collect();
     let mut counts: Vec<Vec<f64>> = sums.clone();
-    let d = compressed.entries.first().map(|e| e.mask.d()).unwrap_or(0);
-    for entry in &compressed.entries {
-        let g4 = &grads[entry.conv_index];
-        let grouped = compressed.grouping().group(g4, d)?;
-        let sum = &mut sums[entry.codebook_id];
-        let count = &mut counts[entry.codebook_id];
-        for j in 0..entry.mask.ng() {
-            let i = entry.assignments.of(j);
+    for (layer, &slot) in artifacts.layers.iter().zip(slot_of) {
+        let cm = layer.artifact.as_masked()?;
+        let (mask, d) = (cm.mask(), cm.mask().d());
+        let grouped = cm.grouping().group(&grads[layer.conv_index], d)?;
+        let sum = &mut sums[slot];
+        let count = &mut counts[slot];
+        for j in 0..mask.ng() {
+            let i = cm.assignments().of(j);
             let grow = grouped.row(j);
-            let mrow = entry.mask.row(j);
+            let mrow = mask.row(j);
             for t in 0..d {
                 if mrow[t] {
                     sum[i * d + t] += grow[t] as f64;
@@ -151,8 +181,8 @@ fn gather(data: &SyntheticClassification, idx: &[usize]) -> (Tensor, Vec<usize>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::MvqConfig;
-    use crate::model_compress::ModelCompressor;
+    use crate::compress::{MvqCompressor, MvqConfig};
+    use crate::pipeline::Compressor;
     use mvq_nn::models::tiny_cnn;
     use mvq_nn::optim::{Optimizer as NnOpt, OptimizerKind as NnOptKind};
     use mvq_nn::train::{evaluate_classifier, train_classifier, TrainConfig};
@@ -177,7 +207,7 @@ mod tests {
         let acc_before = evaluate_classifier(&mut model, &data).unwrap();
         // fp32 codebook isolates the gradient path from grid-snap noise
         let cfg = MvqConfig::new(8, 16, 4, 16).unwrap().with_codebook_bits(None);
-        let mut compressed = ModelCompressor::new(cfg).compress(&mut model, &mut rng).unwrap();
+        let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng).unwrap();
         let ft = CodebookFinetuneConfig {
             epochs: 3,
             batch_size: 32,
@@ -199,10 +229,11 @@ mod tests {
         let data = SyntheticClassification::generate(3, 32, 16, 8, &mut rng);
         let mut model = tiny_cnn(3, 8, &mut rng);
         let cfg = MvqConfig::new(8, 16, 4, 16).unwrap();
-        let mut compressed = ModelCompressor::new(cfg).compress(&mut model, &mut rng).unwrap();
+        let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng).unwrap();
         let ft = CodebookFinetuneConfig { epochs: 1, batch_size: 16, ..Default::default() };
         finetune_codebooks(&mut model, &mut compressed, &data, &ft, &mut rng).unwrap();
-        for cb in &compressed.codebooks {
+        for layer in &compressed.layers {
+            let cb = layer.artifact.codebook().expect("mvq has a codebook");
             let s = cb.scale().expect("quantized");
             for &v in cb.centers().data() {
                 let steps = v / s;
@@ -217,15 +248,15 @@ mod tests {
         let data = SyntheticClassification::generate(3, 32, 16, 8, &mut rng);
         let mut model = tiny_cnn(3, 8, &mut rng);
         let cfg = MvqConfig::new(8, 16, 8, 16).unwrap();
-        let mut compressed = ModelCompressor::new(cfg).compress(&mut model, &mut rng).unwrap();
+        let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng).unwrap();
         let ft = CodebookFinetuneConfig { epochs: 1, batch_size: 16, ..Default::default() };
         finetune_codebooks(&mut model, &mut compressed, &data, &ft, &mut rng).unwrap();
         // model weights equal the decoded representation
         let mut weights = Vec::new();
         model.visit_convs_mut(&mut |c| weights.push(c.weight.value.clone()));
-        for (idx, e) in compressed.entries.iter().enumerate() {
-            let w = compressed.reconstruct_entry(e).unwrap();
-            assert_eq!(w.data(), weights[e.conv_index].data(), "entry {idx}");
+        for layer in &compressed.layers {
+            let w = layer.artifact.reconstruct().unwrap();
+            assert_eq!(w.data(), weights[layer.conv_index].data(), "conv {}", layer.conv_index);
         }
     }
 
@@ -235,7 +266,7 @@ mod tests {
         let data = SyntheticClassification::generate(2, 8, 4, 8, &mut rng);
         let mut model = tiny_cnn(2, 8, &mut rng);
         let cfg = MvqConfig::new(4, 16, 4, 16).unwrap();
-        let mut compressed = ModelCompressor::new(cfg).compress(&mut model, &mut rng).unwrap();
+        let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng).unwrap();
         let ft = CodebookFinetuneConfig { epochs: 0, batch_size: 16, ..Default::default() };
         assert!(finetune_codebooks(&mut model, &mut compressed, &data, &ft, &mut rng).is_err());
     }

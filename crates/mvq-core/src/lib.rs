@@ -7,6 +7,12 @@
 //! (4) quantizes the codebook to int8 with an LSQ-learned scale, and
 //! (5) fine-tunes codewords with masked gradients (Eq. 6).
 //!
+//! Whole models compress through [`Compressor::compress_model`] (one
+//! codebook per layer) or [`MvqCompressor::compress_model_shared`] (one
+//! codebook shared by every layer, the paper's crosslayer scope); both
+//! yield [`ModelArtifacts`], which [`finetune_codebooks`] fine-tunes and
+//! the store, service and stream serve.
+//!
 //! Also included: the VQ baselines the paper compares against (plain VQ
 //! cases A/B/C of the ablation, PQF, BGD, DKM, PvQ) and the storage/FLOPs
 //! metrics of Eq. 7. All algorithms — MVQ and every baseline — implement
@@ -114,7 +120,6 @@ mod mask_lut;
 mod masked_kmeans;
 mod metrics;
 mod mixed_nm;
-mod model_compress;
 pub mod pipeline;
 mod pruning;
 pub mod store;
@@ -138,9 +143,6 @@ pub use masked_kmeans::{
 };
 pub use metrics::{mvq_compression_ratio, vq_compression_ratio, StorageBreakdown};
 pub use mixed_nm::{search_mixed_nm, LayerPattern, MixedNmPlan};
-pub use model_compress::{
-    ClusterScope, CompressedModel, LayerCodebook, ModelCompressor, Parallelism,
-};
 pub use pipeline::{CompressedArtifact, Compressor, LayerArtifact, ModelArtifacts, PipelineSpec};
 pub use pruning::{
     prune_matrix_nm, prune_model, sparse_finetune, PruneMethod, SparseFinetuneConfig,

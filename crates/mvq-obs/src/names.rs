@@ -47,8 +47,8 @@ pub const SERVE_QUEUE_WAIT_US: u16 = 8;
 /// `serve.hit.latency_us` — submit→reply µs for jobs answered from the
 /// cache (histogram).
 pub const SERVE_HIT_LATENCY_US: u16 = 9;
-/// `serve.job.run_us` — submit→reply µs for every completed job
-/// (histogram).
+/// `serve.job.run_us` — dequeue→reply µs for every completed job: the
+/// worker's run, queue wait excluded (histogram).
 pub const SERVE_JOB_RUN_US: u16 = 10;
 /// `serve.jobs.submitted` — accepted submissions, riders included
 /// (counter).

@@ -65,9 +65,11 @@
 //! ```
 //!
 //! Whole models compress the same way ([`core::Compressor::compress_model`]
-//! walks a network's convs rayon-parallel with per-layer seeded RNGs), and
-//! [`core::ModelCompressor`] adds MVQ's layerwise/crosslayer codebook
-//! scopes on top.
+//! walks a network's convs rayon-parallel with per-layer seeded RNGs, one
+//! codebook per layer), and
+//! [`core::MvqCompressor::compress_model_shared`] gives MVQ's crosslayer
+//! scope: one codebook shared by every layer. Both return the same
+//! [`core::ModelArtifacts`] that [`core::finetune_codebooks`] fine-tunes.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

@@ -9,7 +9,9 @@
 
 use mvq::core::pipeline::{by_name, PipelineSpec, ALGORITHM_NAMES};
 use mvq::core::store::{Persist, FORMAT_VERSION, MAGIC};
-use mvq::core::{CompressedArtifact, GroupingStrategy, LayerArtifact, ModelArtifacts};
+use mvq::core::{
+    CompressedArtifact, GroupingStrategy, LayerArtifact, ModelArtifacts, MvqCompressor, MvqConfig,
+};
 use mvq::tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -125,6 +127,19 @@ proptest! {
                 .expect("layer decode");
         prop_assert_eq!(layer_decoded.conv_index, layer.conv_index);
         assert_equivalent(&layer.artifact, &layer_decoded.artifact, name)?;
+        if name == "mvq" {
+            // one codebook shared by every layer: still counted once after decode
+            let cfg = MvqConfig::new(spec.k, spec.d, spec.keep_n, spec.m).expect("valid spec");
+            let shared = MvqCompressor::new(cfg)
+                .compress_model_shared(&model, &mut rng)
+                .expect("shared compress");
+            let decoded = ModelArtifacts::from_bytes(&shared.to_bytes().expect("shared encode"))
+                .expect("shared decode");
+            prop_assert_eq!(decoded.storage(), shared.storage());
+            prop_assert_eq!(decoded.fingerprint().unwrap(), shared.fingerprint().unwrap());
+            let cb = shared.layers[0].artifact.codebook().expect("mvq has a codebook");
+            prop_assert_eq!(decoded.storage().codebook_bits, cb.storage_bits());
+        }
     }
 
     /// Grouping strategies and unquantized codebooks are preserved (the
