@@ -105,18 +105,22 @@ pub fn weight_hash(weight: &Tensor) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// primitive readers/writers
+// primitive readers/writers (public: the `mvq-net` wire payloads are
+// encoded with these same field layouts)
 // ---------------------------------------------------------------------
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
+/// Appends one byte.
+pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Appends a little-endian `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Appends a little-endian `u64`.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -147,7 +151,9 @@ fn rank_u8(dims: &[usize]) -> Result<u8, MvqError> {
     })
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), MvqError> {
+/// Appends a string as a `u32` byte length followed by its UTF-8 bytes;
+/// a length the field cannot hold is an [`MvqError::Codec`].
+pub fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), MvqError> {
     put_u32(out, str_len(s)?);
     out.extend_from_slice(s.as_bytes());
     Ok(())
@@ -161,7 +167,9 @@ fn put_dims(out: &mut Vec<u8>, dims: &[usize]) -> Result<(), MvqError> {
     Ok(())
 }
 
-fn put_tensor(out: &mut Vec<u8>, t: &Tensor) -> Result<(), MvqError> {
+/// Appends a tensor: `u8` rank, `u64` dims, then every element's `f32`
+/// bit pattern; a rank the field cannot hold is an [`MvqError::Codec`].
+pub fn put_tensor(out: &mut Vec<u8>, t: &Tensor) -> Result<(), MvqError> {
     put_dims(out, t.dims())?;
     for &v in t.data() {
         put_f32(out, v);
@@ -189,14 +197,28 @@ fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
     }
 }
 
-/// Bounds-checked sequential reader over a decoded payload.
-struct Reader<'a> {
+/// Appends an optional `u64` as a `0`/`1` presence byte, then the value.
+pub fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
+    match v {
+        None => put_u8(out, 0),
+        Some(x) => {
+            put_u8(out, 1);
+            put_u64(out, x);
+        }
+    }
+}
+
+/// Bounds-checked sequential reader over a verified payload. Every read
+/// fails with a typed [`MvqError::Codec`] (never a panic) on truncated
+/// or malformed input.
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
+    /// A reader positioned at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
@@ -213,19 +235,23 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, MvqError> {
+    /// Reads one byte.
+    pub fn u8(&mut self) -> Result<u8, MvqError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, MvqError> {
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, MvqError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
-    fn u64(&mut self) -> Result<u64, MvqError> {
+    /// Reads a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, MvqError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    fn usize(&mut self) -> Result<usize, MvqError> {
+    /// Reads a `u64` length or count as a `usize`; overflow is an error.
+    pub fn usize(&mut self) -> Result<usize, MvqError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| MvqError::Codec(format!("length {v} overflows usize")))
     }
@@ -234,7 +260,8 @@ impl<'a> Reader<'a> {
         Ok(f32::from_bits(self.u32()?))
     }
 
-    fn str(&mut self) -> Result<String, MvqError> {
+    /// Reads a string written by [`put_str`]; non-UTF-8 bytes are an error.
+    pub fn str(&mut self) -> Result<String, MvqError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
@@ -258,7 +285,9 @@ impl<'a> Reader<'a> {
         Ok(dims)
     }
 
-    fn tensor(&mut self) -> Result<Tensor, MvqError> {
+    /// Reads a tensor written by [`put_tensor`], bit-identically. Dims
+    /// describing more than `u32::MAX` elements are an error.
+    pub fn tensor(&mut self) -> Result<Tensor, MvqError> {
         let dims = self.dims()?;
         let numel: usize = dims.iter().product();
         // cap the pre-allocation (same guard as the assignment/permutation
@@ -287,7 +316,17 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn finish(&self) -> Result<(), MvqError> {
+    /// Reads an optional `u64` written by [`put_opt_u64`].
+    pub fn opt_u64(&mut self) -> Result<Option<u64>, MvqError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(self.u64()?)),
+            t => Err(MvqError::Codec(format!("bad Option<u64> tag {t}"))),
+        }
+    }
+
+    /// Succeeds only when every payload byte was consumed.
+    pub fn finish(&self) -> Result<(), MvqError> {
         if self.pos != self.bytes.len() {
             return Err(MvqError::Codec(format!(
                 "{} trailing bytes after payload",

@@ -70,8 +70,9 @@ mod shard;
 mod stats;
 
 pub use codec::{
-    frame_blob, unframe_blob, validate_frame, weight_hash, BlobKind, Fnv1a, ModelIndex, Persist,
-    FORMAT_VERSION, HEADER_LEN, MAGIC,
+    frame_blob, put_opt_u64, put_str, put_tensor, put_u32, put_u64, put_u8, unframe_blob,
+    validate_frame, weight_hash, BlobKind, Fnv1a, ModelIndex, Persist, Reader, FORMAT_VERSION,
+    HEADER_LEN, MAGIC,
 };
 pub use stats::{CacheBudget, CacheStats};
 

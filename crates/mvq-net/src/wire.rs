@@ -4,7 +4,9 @@
 //! store codec's header (magic, format version, kind tag, payload
 //! length, FNV-1a payload checksum) via
 //! [`frame_blob`]/[`unframe_blob`], under the append-only kinds
-//! [`BlobKind::WireRequest`] and [`BlobKind::WireResponse`]. Artifact
+//! [`BlobKind::WireRequest`] and [`BlobKind::WireResponse`], and payload
+//! fields use the codec's own primitives ([`put_u64`], [`put_tensor`],
+//! [`Reader`], …), so a tensor or string has one layout. Artifact
 //! payloads are **not** re-encoded for the wire: a response carries the
 //! cache's own `BlobKind::Artifact` frame as the next message, byte for
 //! byte. See the crate docs for the full layout.
@@ -12,7 +14,10 @@
 use std::io::{Read, Write};
 
 use mvq_core::pipeline::PipelineSpec;
-use mvq_core::store::{frame_blob, unframe_blob, BlobKind, HEADER_LEN};
+use mvq_core::store::{
+    frame_blob, put_opt_u64, put_str, put_tensor, put_u32, put_u64, put_u8, unframe_blob, BlobKind,
+    Reader, HEADER_LEN,
+};
 use mvq_core::{GroupingStrategy, KernelStrategy, MvqError};
 use mvq_obs::{
     HistogramSummary, MetricKind, MetricValue, RegistrySnapshot, Stage, TraceOutcome, TraceSnapshot,
@@ -67,113 +72,6 @@ pub(crate) fn read_message(r: &mut impl Read, max_len: usize) -> std::io::Result
         }
     })?;
     Ok(buf)
-}
-
-// ---------------------------------------------------------------------
-// primitive payload readers/writers (the store codec's are private; the
-// wire payloads carry their own copies of these few-line helpers)
-// ---------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), MvqError> {
-    let len = u32::try_from(s.len()).map_err(|_| {
-        MvqError::Codec(format!("string of {} bytes exceeds the u32 length field", s.len()))
-    })?;
-    put_u32(out, len);
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_u64(out, x);
-        }
-    }
-}
-
-/// Bounds-checked sequential reader over a verified payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MvqError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len()).ok_or_else(|| {
-            MvqError::Codec(format!(
-                "wire payload truncated: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            ))
-        })?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, MvqError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, MvqError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, MvqError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn usize(&mut self) -> Result<usize, MvqError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| MvqError::Codec(format!("length {v} overflows usize")))
-    }
-
-    fn f32(&mut self) -> Result<f32, MvqError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    fn str(&mut self) -> Result<String, MvqError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| MvqError::Codec("wire string field is not UTF-8".into()))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, MvqError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => Err(MvqError::Codec(format!("bad Option<u64> tag {t}"))),
-        }
-    }
-
-    fn finish(&self) -> Result<(), MvqError> {
-        if self.pos != self.bytes.len() {
-            return Err(MvqError::Codec(format!(
-                "{} trailing bytes after wire payload",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -307,16 +205,7 @@ impl WireRequest {
         put_u32(&mut p, self.spec.scalar_bits);
         put_u64(&mut p, self.spec.swap_trials as u64);
         put_u8(&mut p, kernel_tag(self.spec.kernel));
-        let rank = u8::try_from(self.weight.rank()).map_err(|_| {
-            MvqError::Codec(format!("tensor rank {} exceeds the u8 rank field", self.weight.rank()))
-        })?;
-        put_u8(&mut p, rank);
-        for &d in self.weight.dims() {
-            put_u64(&mut p, d as u64);
-        }
-        for &v in self.weight.data() {
-            put_u32(&mut p, v.to_bits());
-        }
+        put_tensor(&mut p, &self.weight)?;
         Ok(frame_blob(BlobKind::WireRequest, p))
     }
 
@@ -370,29 +259,8 @@ impl WireRequest {
             swap_trials,
             kernel,
         };
-        let rank = r.u8()? as usize;
-        let mut dims = Vec::with_capacity(rank);
-        let mut numel: u128 = 1;
-        for _ in 0..rank {
-            let dim = r.usize()?;
-            numel = numel.saturating_mul(dim as u128);
-            if numel > u32::MAX as u128 {
-                return Err(MvqError::Codec(format!(
-                    "wire tensor of dims {dims:?}×{dim} is implausibly large"
-                )));
-            }
-            dims.push(dim);
-        }
-        let n: usize = dims.iter().product();
-        // cap the pre-allocation: a malformed rank/dims must fail at the
-        // first short read, not abort on a multi-GB reservation
-        let mut data = Vec::with_capacity(n.min(1 << 24));
-        for _ in 0..n {
-            data.push(r.f32()?);
-        }
+        let weight = r.tensor()?;
         r.finish()?;
-        let weight = Tensor::from_vec(dims, data)
-            .map_err(|e| MvqError::Codec(format!("wire weight tensor: {e}")))?;
         Ok(WireRequest { id, name, algo, spec, seed, priority, cache_mode, deadline_ms, weight })
     }
 }
@@ -792,7 +660,13 @@ mod tests {
     #[test]
     fn request_round_trips_bit_identically() {
         let req = request();
-        let back = WireRequest::decode(&req.encode().unwrap()).unwrap();
+        let frame = req.encode().unwrap();
+        // the byte layout is pinned: a change to any field encoding is a
+        // protocol break and must show up here
+        let mut digest = mvq_core::store::Fnv1a::new();
+        digest.update(&frame);
+        assert_eq!(digest.finish(), 17480301415315198994, "WireRequest byte layout drifted");
+        let back = WireRequest::decode(&frame).unwrap();
         assert_eq!(back.id, req.id);
         assert_eq!(back.name, req.name);
         assert_eq!(back.algo, req.algo);

@@ -80,40 +80,14 @@
 //! assert!(!outcome.from_cache);
 //! # Ok::<(), mvq_core::MvqError>(())
 //! ```
-//!
-//! ## Migrating from v1 (`submit`) to v2 (tickets)
-//!
-//! The v1 surface — [`BatchCompressionService::submit`] over
-//! [`CompressionJob`]s — is deprecated but fully functional as a shim
-//! over the v2 service, with its exact semantics: one blocking call per
-//! batch, whole-batch abort on the first error, in-batch dedup
-//! accounting, and bit-identical artifacts (the conformance suite pins
-//! v1 ≡ v2 ≡ fresh compression for every registry algorithm).
-//!
-//! | v1 | v2 |
-//! |----|----|
-//! | `CompressionJob::new(name, w, algo, spec)` | `CompressionRequest::builder(name, w, algo).spec(spec).build()?` |
-//! | `.with_seed(s)` | `.seed(s)` |
-//! | invalid algo/spec errors the whole `submit` | `build()` returns the typed error before anything queues |
-//! | `service.submit(jobs)? → BatchReport` | `jobs.map(\|r\| service.submit_one(r))`, then `Ticket::wait` each |
-//! | first error aborts the batch | each ticket resolves independently (`Ok(JobOutcome)` / `Err(JobError)`) |
-//! | implicit rayon fan-out per batch | persistent worker pool; `builder().workers(n).queue_capacity(c)` |
-//! | no admission control | bounded queue: `submit_one` blocks, `try_submit_one` refuses |
-//! | unbounded cache growth | `builder().cache_policy(CachePolicy::UNBOUNDED.with_disk_budget(..))` |
-//!
-//! Cache blobs, [`CacheKey`](mvq_core::store::CacheKey)s, content seeds,
-//! and `FORMAT_VERSION` are unchanged: a v1-era disk cache serves v2
-//! traffic (and vice versa) without invalidation.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-mod batch;
 mod request;
 mod service;
 mod ticket;
 
-pub use batch::{BatchCompressionService, BatchReport, CompressionJob};
 pub use request::{
     CacheMode, CompressionRequest, CompressionRequestBuilder, ModelCompressionRequest,
     ModelCompressionRequestBuilder, Priority,
@@ -208,6 +182,24 @@ mod tests {
         let rider = service.submit_one(request("b"));
         assert_eq!(service.queued(), 1, "the duplicate must not occupy a queue slot");
         assert_eq!(first.key(), rider.key());
+        // another algorithm or another pinned seed is another identity
+        let other_algo = service.submit_one(
+            CompressionRequest::builder("c", weight(2), "vq-a")
+                .spec(spec())
+                .seed(9)
+                .build()
+                .unwrap(),
+        );
+        let other_seed = service.submit_one(
+            CompressionRequest::builder("d", weight(2), "mvq")
+                .spec(spec())
+                .seed(10)
+                .build()
+                .unwrap(),
+        );
+        assert_eq!(service.queued(), 3, "distinct identities must each queue");
+        assert_ne!(other_algo.key(), first.key());
+        assert_ne!(other_seed.key(), first.key());
         drop(service); // zero workers: queued job is abandoned
         assert!(matches!(first.wait(), Err(JobError::Disconnected { .. })));
         assert!(matches!(rider.wait(), Err(JobError::Disconnected { .. })));

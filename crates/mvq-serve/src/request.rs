@@ -1,8 +1,7 @@
 //! Typed, construction-validated compression requests.
 //!
 //! [`CompressionRequest`] is the unit of work [`crate::CompressionService`]
-//! accepts. Unlike the v1 [`crate::CompressionJob`] — a bag of strings
-//! checked only when a batch ran — a request is validated by
+//! accepts. A request is validated by
 //! [`CompressionRequestBuilder::build`]: the algorithm name is resolved
 //! against the pipeline registry, the spec is compiled for that algorithm,
 //! and the weight is shape-checked, each failure a typed
@@ -14,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use mvq_core::pipeline::{by_name, canonical_name, PipelineSpec};
 use mvq_core::store::Fnv1a;
-use mvq_core::{model_weight_hash, KernelStrategy, MvqError, StreamConfig};
+use mvq_core::{model_weight_hash, MvqError, StreamConfig};
 use mvq_nn::Sequential;
 use mvq_tensor::Tensor;
 
@@ -185,14 +184,6 @@ impl CompressionRequestBuilder {
     /// Sets the pipeline hyperparameters (default: [`PipelineSpec::default`]).
     pub fn spec(mut self, spec: PipelineSpec) -> Self {
         self.spec = spec;
-        self
-    }
-
-    /// Overrides the kernel strategy on the spec — a shorthand for
-    /// `spec.with_kernel(..)`, so CLI callers can layer `--kernel` on top
-    /// of a preset spec.
-    pub fn kernel(mut self, kernel: KernelStrategy) -> Self {
-        self.spec = self.spec.with_kernel(kernel);
         self
     }
 
@@ -504,9 +495,8 @@ impl ModelCompressionRequestBuilder {
 /// Deterministic seed for an unseeded request, derived from its content
 /// identity — the same weight/spec/algorithm always compresses with the
 /// same RNG stream, so unseeded work dedupes and caches across batches
-/// and processes. The domain string is pinned: it has encoded the same
-/// identity since the v1 batch service, so existing unseeded cache blobs
-/// stay addressable.
+/// and processes. The domain string is pinned: existing unseeded cache
+/// blobs are keyed under it, so changing it would orphan them.
 pub(crate) fn content_seed(weight: &Tensor, spec: &PipelineSpec, canonical_algo: &str) -> u64 {
     let mut h = Fnv1a::new();
     h.update(b"mvq.serve.contentseed.v1");
@@ -562,6 +552,12 @@ mod tests {
         let b = CompressionRequest::builder("b", weight(), "vq-a").build().unwrap();
         assert_eq!(a.algo(), "vq-a");
         assert_eq!(a.resolved_seed(), b.resolved_seed());
+        // one identity: the two spellings address one cache key
+        let key = |r: &CompressionRequest| {
+            mvq_core::store::CacheKey::new(r.algo(), r.weight(), r.spec(), r.resolved_seed())
+                .unwrap()
+        };
+        assert_eq!(key(&a), key(&b));
     }
 
     #[test]

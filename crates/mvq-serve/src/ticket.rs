@@ -269,9 +269,9 @@ impl Error for JobError {
 }
 
 impl From<JobError> for MvqError {
-    /// Flattens a job error back into the pipeline error space — used by
-    /// the deprecated v1 batch shim, whose `submit` reported a bare
-    /// [`MvqError`].
+    /// Flattens a job error back into the pipeline error space, so callers
+    /// that deal in [`MvqError`] can propagate a failed ticket with `?`
+    /// (`ticket.wait()?`, as in the crate-level example).
     fn from(e: JobError) -> MvqError {
         match e {
             JobError::Compression { source, .. } | JobError::Cache { source, .. } => source,

@@ -22,7 +22,6 @@
 //!   worker-thread pool with bounded-queue admission control and per-job
 //!   error isolation, backed by versioned artifact serialization
 //!   ([`core::store`]) in a content-addressed, byte-budgeted LRU cache
-//!   (the deprecated v1 batch `submit` remains as a shim)
 //! * [`net`] — the service on the wire: a length-prefixed TCP protocol
 //!   ([`net::NetServer`] / [`net::NetClient`]) with per-request
 //!   deadlines, client-disconnect cancellation, and graceful drain,

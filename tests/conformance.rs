@@ -1,16 +1,14 @@
 //! Trait-conformance tests: every compressor in the pipeline registry must
 //! honor the shared `Compressor` / `CompressedArtifact` contract on the
 //! same seeded weight matrix — and the compression service must serve
-//! cache hits, dedup shares, and the deprecated v1 batch path
-//! bit-identical to fresh compressions, deterministically across
-//! submission order, batching, worker interleaving, and cache eviction.
+//! cache hits and dedup shares bit-identical to fresh compressions,
+//! deterministically across submission order, batching, worker
+//! interleaving, and cache eviction.
 
 use mvq::core::pipeline::{by_name, registry, PipelineSpec, ALGORITHM_NAMES};
 use mvq::core::store::CacheBudget;
 use mvq::core::{CompressedArtifact, KernelStrategy, MvqConfig};
-use mvq::serve::{
-    BatchCompressionService, CachePolicy, CompressionJob, CompressionRequest, CompressionService,
-};
+use mvq::serve::{CachePolicy, CompressionRequest, CompressionService, JobOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -265,16 +263,13 @@ fn artifact_bits(a: &CompressedArtifact) -> Vec<u32> {
 }
 
 #[test]
-#[allow(deprecated)]
-fn ticket_and_v1_paths_match_fresh_compression_for_every_algorithm() {
-    // The service contract across both API generations: a ticket served
-    // by `CompressionService` (cold and from cache), an outcome from the
-    // deprecated v1 `submit` shim, and a fresh registry compression with
-    // the same seed must all reconstruct the exact same bit pattern.
+fn ticket_paths_match_fresh_compression_for_every_algorithm() {
+    // The service contract: a ticket served by `CompressionService`, cold
+    // and from cache, and a fresh registry compression with the same seed
+    // must reconstruct the exact same bit pattern.
     let w = test_weight();
     let spec = PipelineSpec { k: 8, swap_trials: 200, ..PipelineSpec::default() };
     let service = CompressionService::builder().workers(2).build().unwrap();
-    let v1 = BatchCompressionService::in_memory();
     for name in ALGORITHM_NAMES {
         let request = || {
             CompressionRequest::builder(name, w.clone(), name)
@@ -287,9 +282,6 @@ fn ticket_and_v1_paths_match_fresh_compression_for_every_algorithm() {
         assert!(!cold.from_cache, "{name}: first submission must compress");
         let warm = service.submit_one(request()).wait().unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(warm.from_cache, "{name}: second submission must hit");
-        let batch = v1
-            .submit(vec![CompressionJob::new(name, w.clone(), name, spec.clone()).with_seed(41)])
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
         let fresh = by_name(name, &spec)
             .expect("valid spec")
             .compress_matrix(&w, &mut StdRng::seed_from_u64(41))
@@ -297,7 +289,6 @@ fn ticket_and_v1_paths_match_fresh_compression_for_every_algorithm() {
         for (label, served) in [
             ("cold ticket", cold.artifact().expect("decode")),
             ("warm ticket", warm.artifact().expect("decode")),
-            ("v1 submit", batch.outcomes[0].artifact().expect("decode")),
         ] {
             let served = &served;
             assert_eq!(
@@ -479,39 +470,37 @@ fn disk_eviction_respects_budget_and_survives_restart() {
 }
 
 #[test]
-#[allow(deprecated)]
 fn service_is_deterministic_across_order_and_batching() {
-    // The same job set — shuffled, and split one-job-per-batch (serial)
-    // vs one big batch (parallel fan-out) — must produce bit-identical
-    // artifacts per job name and the same dedupe/hit accounting. Runs on
-    // the deprecated v1 shim deliberately: its BatchReport accounting is
-    // part of the compatibility contract the shim must preserve.
+    // The same request set — all submitted then all waited, the same set
+    // reversed, and submit-then-wait one at a time — must produce
+    // bit-identical artifacts per request name. Every request has a
+    // duplicate, so each pass also exercises in-flight dedup and hits.
     let spec = PipelineSpec { k: 8, swap_trials: 200, ..PipelineSpec::default() };
     let mut wrng = StdRng::seed_from_u64(0xBEEF);
     let weights: Vec<mvq::tensor::Tensor> =
         (0..4).map(|_| mvq::tensor::kaiming_normal(vec![32, 16], 16, &mut wrng)).collect();
-    let jobs = || -> Vec<CompressionJob> {
-        let mut jobs = Vec::new();
+    let requests = || -> Vec<CompressionRequest> {
+        let mut requests = Vec::new();
         for (i, w) in weights.iter().enumerate() {
             for algo in ["mvq", "vq-a", "pvq"] {
-                jobs.push(CompressionJob::new(
-                    format!("w{i}-{algo}"),
-                    w.clone(),
-                    algo,
-                    spec.clone(),
-                ));
-                // a duplicate of every job, exercising in-flight dedup
-                jobs.push(CompressionJob::new(
-                    format!("w{i}-{algo}-dup"),
-                    w.clone(),
-                    algo,
-                    spec.clone(),
-                ));
+                for name in [format!("w{i}-{algo}"), format!("w{i}-{algo}-dup")] {
+                    requests.push(
+                        CompressionRequest::builder(name, w.clone(), algo)
+                            .spec(spec.clone())
+                            .build()
+                            .expect("valid request"),
+                    );
+                }
             }
         }
-        jobs
+        requests
     };
-    let collect = |outcomes: &[mvq::serve::JobOutcome]| {
+    let service = || CompressionService::builder().workers(2).build().unwrap();
+    let all_then_wait = |service: &CompressionService, requests: Vec<CompressionRequest>| {
+        let tickets: Vec<_> = requests.into_iter().map(|r| service.submit_one(r)).collect();
+        tickets.into_iter().map(|t| t.wait().expect("job")).collect::<Vec<_>>()
+    };
+    let collect = |outcomes: &[JobOutcome]| {
         let mut named: Vec<(String, Vec<u32>)> = outcomes
             .iter()
             .map(|o| (o.name.clone(), artifact_bits(&o.artifact().expect("decode"))))
@@ -519,40 +508,43 @@ fn service_is_deterministic_across_order_and_batching() {
         named.sort();
         named
     };
+    // (fresh compressions, deduped riders, cache hits)
+    let counts = |outcomes: &[JobOutcome]| {
+        let fresh = outcomes.iter().filter(|o| !o.deduped && !o.from_cache).count();
+        let deduped = outcomes.iter().filter(|o| o.deduped).count();
+        let hits = outcomes.iter().filter(|o| o.from_cache).count();
+        (fresh, deduped, hits)
+    };
 
-    let batched = BatchCompressionService::in_memory();
-    let big = batched.submit(jobs()).expect("batch");
-    assert_eq!(big.unique_jobs, 12);
-    assert_eq!(big.deduped_jobs, 12);
-    assert_eq!(big.cache_hits, 0);
+    // all submitted, then all waited: each unique key compresses once;
+    // whether its duplicate rides in flight or hits the cache depends on
+    // worker timing, but it is always one or the other
+    let batched = service();
+    let big = all_then_wait(&batched, requests());
+    let (fresh, deduped, hits) = counts(&big);
+    assert_eq!(fresh, 12, "every unique key compresses exactly once");
+    assert_eq!(deduped + hits, 12, "every duplicate is a dedup share or a hit");
 
-    // shuffled order: reverse is a deterministic shuffle
-    let shuffled_service = BatchCompressionService::in_memory();
-    let mut reversed = jobs();
+    // reversed order: reverse is a deterministic shuffle
+    let mut reversed = requests();
     reversed.reverse();
-    let shuffled = shuffled_service.submit(reversed).expect("shuffled batch");
-    assert_eq!(collect(&big.outcomes), collect(&shuffled.outcomes), "order changed results");
-    assert_eq!(shuffled.unique_jobs, 12);
-    assert_eq!(shuffled.deduped_jobs, 12);
+    let shuffled = all_then_wait(&service(), reversed);
+    assert_eq!(collect(&big), collect(&shuffled), "order changed results");
+    assert_eq!(counts(&shuffled).0, 12);
 
-    // serial: one batch per job — same artifacts, hit counts fully
-    // determined by duplicate structure (every dup hits the cache)
-    let serial_service = BatchCompressionService::in_memory();
-    let mut serial_outcomes = Vec::new();
-    let mut serial_hits = 0usize;
-    for job in jobs() {
-        let report = serial_service.submit(vec![job]).expect("serial submit");
-        serial_hits += report.cache_hits;
-        serial_outcomes.extend(report.outcomes);
-    }
-    assert_eq!(collect(&big.outcomes), collect(&serial_outcomes), "batching changed results");
-    assert_eq!(serial_hits, 12, "every duplicate must be a cache hit when submitted serially");
+    // serial: submit-then-wait one at a time — the accounting is fully
+    // determined by the duplicate structure (every dup hits the cache)
+    let serial_service = service();
+    let serial: Vec<JobOutcome> =
+        requests().into_iter().map(|r| serial_service.submit_one(r).wait().expect("job")).collect();
+    assert_eq!(collect(&big), collect(&serial), "batching changed results");
+    assert_eq!(counts(&serial), (12, 0, 12), "every duplicate must hit when submitted serially");
 
-    // resubmitting the whole set is all hits, counted once per unique key
-    let resubmit = batched.submit(jobs()).expect("resubmit");
-    assert_eq!(resubmit.cache_hits, 12);
-    assert_eq!(resubmit.compressed, 0);
-    assert_eq!(collect(&big.outcomes), collect(&resubmit.outcomes));
+    // resubmitting the whole set is all hits
+    let resubmit = all_then_wait(&batched, requests());
+    let (fresh, _, hits) = counts(&resubmit);
+    assert_eq!((fresh, hits), (0, 24), "a warm resubmission must not compress");
+    assert_eq!(collect(&big), collect(&resubmit));
 }
 
 #[test]
