@@ -92,16 +92,64 @@ impl Default for Fnv1a {
 /// payloads) hash differently — the cache must never alias weights whose
 /// compression could diverge.
 pub fn weight_hash(weight: &Tensor) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(b"mvq.weight.v1");
-    h.update_u64(weight.rank() as u64);
-    for &d in weight.dims() {
-        h.update_u64(d as u64);
-    }
+    let mut h = weight_hash_prefix(weight.dims());
     for &v in weight.data() {
         h.update(&v.to_bits().to_le_bytes());
     }
     h.finish()
+}
+
+/// The [`weight_hash`] state after the domain tag, rank and dims, ready
+/// for the element bit patterns.
+fn weight_hash_prefix(dims: &[usize]) -> Fnv1a {
+    let mut h = Fnv1a::new();
+    h.update(b"mvq.weight.v1");
+    h.update_u64(dims.len() as u64);
+    for &d in dims {
+        h.update_u64(d as u64);
+    }
+    h
+}
+
+/// A weight tensor paired with its [`weight_hash`]. Only this crate
+/// computes the hash — from the tensor ([`HashedWeight::new`],
+/// `From<Tensor>`) or in the same pass that decodes the tensor off a
+/// frame ([`unframe_hashed`]) — so a holder can key caches and derive
+/// content seeds without touching the weight bytes again, and can never
+/// pair a tensor with a hash that is not its own.
+#[derive(Debug, Clone)]
+pub struct HashedWeight {
+    tensor: Tensor,
+    hash: u64,
+}
+
+impl HashedWeight {
+    /// Hashes `tensor` (one pass over its elements).
+    pub fn new(tensor: Tensor) -> HashedWeight {
+        let hash = weight_hash(&tensor);
+        HashedWeight { tensor, hash }
+    }
+
+    /// The weight tensor.
+    pub fn tensor(&self) -> &Tensor {
+        &self.tensor
+    }
+
+    /// The tensor's [`weight_hash`].
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// Drops the hash and hands back the tensor.
+    pub fn into_tensor(self) -> Tensor {
+        self.tensor
+    }
+}
+
+impl From<Tensor> for HashedWeight {
+    fn from(tensor: Tensor) -> HashedWeight {
+        HashedWeight::new(tensor)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -126,6 +174,11 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 fn put_f32(out: &mut Vec<u8>, v: f32) {
     put_u32(out, v.to_bits());
+}
+
+/// Assembles a decoded tensor field.
+fn tensor_field(dims: Vec<usize>, data: Vec<f32>) -> Result<Tensor, MvqError> {
+    Tensor::from_vec(dims, data).map_err(|e| MvqError::Codec(format!("tensor field: {e}")))
 }
 
 /// The `u32` length prefix for a string field, rejecting strings whose
@@ -171,8 +224,10 @@ fn put_dims(out: &mut Vec<u8>, dims: &[usize]) -> Result<(), MvqError> {
 /// bit pattern; a rank the field cannot hold is an [`MvqError::Codec`].
 pub fn put_tensor(out: &mut Vec<u8>, t: &Tensor) -> Result<(), MvqError> {
     put_dims(out, t.dims())?;
-    for &v in t.data() {
-        put_f32(out, v);
+    let start = out.len();
+    out.resize(start + 4 * t.data().len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(t.data()) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
     }
     Ok(())
 }
@@ -285,19 +340,27 @@ impl<'a> Reader<'a> {
         Ok(dims)
     }
 
+    /// The element bytes of a tensor field whose `dims` were just read:
+    /// one bounds-checked take of `numel * 4` bytes, so a header that
+    /// claims more elements than the payload holds fails here, before
+    /// the element buffer is allocated.
+    fn tensor_body(&mut self, dims: &[usize]) -> Result<&'a [u8], MvqError> {
+        let len = dims.iter().product::<usize>().checked_mul(4).ok_or_else(|| {
+            MvqError::Codec(format!("tensor of dims {dims:?} overflows the byte length"))
+        })?;
+        self.take(len)
+    }
+
     /// Reads a tensor written by [`put_tensor`], bit-identically. Dims
     /// describing more than `u32::MAX` elements are an error.
     pub fn tensor(&mut self) -> Result<Tensor, MvqError> {
         let dims = self.dims()?;
-        let numel: usize = dims.iter().product();
-        // cap the pre-allocation (same guard as the assignment/permutation
-        // readers): a malformed header must fail at the first short read,
-        // not abort on a multi-GB reservation
-        let mut data = Vec::with_capacity(numel.min(1 << 24));
-        for _ in 0..numel {
-            data.push(self.f32()?);
-        }
-        Tensor::from_vec(dims, data).map_err(|e| MvqError::Codec(format!("tensor field: {e}")))
+        let data = self
+            .tensor_body(&dims)?
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+        tensor_field(dims, data)
     }
 
     fn opt_f32(&mut self) -> Result<Option<f32>, MvqError> {
@@ -603,6 +666,14 @@ fn frame(kind: BlobKind, payload: Vec<u8>) -> Vec<u8> {
 
 /// Validates the header and returns the checksum-verified payload.
 fn unframe(kind: BlobKind, bytes: &[u8]) -> Result<&[u8], MvqError> {
+    let (payload, checksum) = header(kind, bytes)?;
+    verify_checksum(payload, checksum)?;
+    Ok(payload)
+}
+
+/// Validates everything in the header but the checksum; returns the
+/// (unverified) payload and the checksum it must match.
+fn header(kind: BlobKind, bytes: &[u8]) -> Result<(&[u8], u64), MvqError> {
     if bytes.len() < HEADER_LEN {
         return Err(MvqError::Codec(format!(
             "blob of {} bytes is shorter than the {HEADER_LEN}-byte header",
@@ -637,12 +708,20 @@ fn unframe(kind: BlobKind, bytes: &[u8]) -> Result<&[u8], MvqError> {
         )));
     }
     let checksum = u64::from_le_bytes(bytes[15..23].try_into().expect("8 bytes"));
+    Ok((payload, checksum))
+}
+
+fn verify_checksum(payload: &[u8], checksum: u64) -> Result<(), MvqError> {
     let mut h = Fnv1a::new();
     h.update(payload);
     if h.finish() != checksum {
-        return Err(MvqError::Codec("payload checksum mismatch (corrupt blob)".into()));
+        return Err(checksum_mismatch());
     }
-    Ok(payload)
+    Ok(())
+}
+
+fn checksum_mismatch() -> MvqError {
+    MvqError::Codec("payload checksum mismatch (corrupt blob)".into())
 }
 
 /// Validates a framed blob's header and payload checksum **without
@@ -678,6 +757,63 @@ pub fn frame_blob(kind: BlobKind, payload: Vec<u8>) -> Vec<u8> {
 /// unsupported future format versions, and checksum mismatches.
 pub fn unframe_blob(kind: BlobKind, bytes: &[u8]) -> Result<&[u8], MvqError> {
     unframe(kind, bytes)
+}
+
+/// Decodes a framed blob whose payload is some leading fields followed
+/// by one trailing tensor field, hashing the tensor in the same pass.
+///
+/// `fields` reads the leading fields. The tensor's element bytes are
+/// then walked **once**: one loop advances the payload checksum, the
+/// tensor's [`weight_hash`] and the decoded `f32`s together, so the
+/// returned [`HashedWeight`] keys a cache without a second pass. The
+/// result equals [`unframe_blob`] followed by `fields`,
+/// [`Reader::tensor`], [`Reader::finish`] and [`weight_hash`] —
+/// including which error a bad blob gets: when a field fails to parse,
+/// the whole payload is checksummed first, so a corrupt frame reports
+/// the checksum mismatch exactly as [`unframe_blob`] does.
+///
+/// # Errors
+///
+/// Returns [`MvqError::Codec`] for bad framing (as [`unframe_blob`]),
+/// a checksum mismatch, a malformed field or tensor, or trailing bytes.
+pub fn unframe_hashed<T>(
+    kind: BlobKind,
+    bytes: &[u8],
+    fields: impl FnOnce(&mut Reader<'_>) -> Result<T, MvqError>,
+) -> Result<(T, HashedWeight), MvqError> {
+    let (payload, checksum) = header(kind, bytes)?;
+    let mut r = Reader::new(payload);
+    let parsed = fields(&mut r).and_then(|value| {
+        let dims = r.dims()?;
+        let head = r.pos;
+        let body = r.tensor_body(&dims)?;
+        r.finish()?;
+        Ok((value, dims, head, body))
+    });
+    let (value, dims, head, body) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            verify_checksum(payload, checksum)?;
+            return Err(e);
+        }
+    };
+    let mut sum = Fnv1a::new();
+    sum.update(&payload[..head]);
+    let mut hash = weight_hash_prefix(&dims);
+    let data = body
+        .chunks_exact(4)
+        .map(|c| {
+            let b = [c[0], c[1], c[2], c[3]];
+            sum.update(&b);
+            hash.update(&b);
+            f32::from_le_bytes(b)
+        })
+        .collect();
+    if sum.finish() != checksum {
+        return Err(checksum_mismatch());
+    }
+    let tensor = tensor_field(dims, data)?;
+    Ok((value, HashedWeight { tensor, hash: hash.finish() }))
 }
 
 /// Decodes a verified payload, rejecting trailing bytes.

@@ -11,7 +11,8 @@
 //!   `ScalarQuantized`, `LayerArtifact` and `ModelArtifacts`; see the
 //!   `codec` module docs for the layout and versioning rule.
 //! * [`weight_hash`] — the content hash of a weight tensor (dims + f32
-//!   bit patterns).
+//!   bit patterns); [`HashedWeight`] carries a tensor with its hash, and
+//!   [`unframe_hashed`] decodes one off a frame in a single pass.
 //! * [`CacheKey`] / [`ArtifactCache`] — a content-addressed store keyed by
 //!   `(weight hash, PipelineSpec fingerprint, algorithm, kernel strategy,
 //!   seed)`.
@@ -71,8 +72,8 @@ mod stats;
 
 pub use codec::{
     frame_blob, put_opt_u64, put_str, put_tensor, put_u32, put_u64, put_u8, unframe_blob,
-    validate_frame, weight_hash, BlobKind, Fnv1a, ModelIndex, Persist, Reader, FORMAT_VERSION,
-    HEADER_LEN, MAGIC,
+    unframe_hashed, validate_frame, weight_hash, BlobKind, Fnv1a, HashedWeight, ModelIndex,
+    Persist, Reader, FORMAT_VERSION, HEADER_LEN, MAGIC,
 };
 pub use stats::{CacheBudget, CacheStats};
 
@@ -126,12 +127,28 @@ impl CacheKey {
         spec: &PipelineSpec,
         seed: u64,
     ) -> Result<CacheKey, MvqError> {
+        CacheKey::from_hash(algo, weight_hash(weight), spec, seed)
+    }
+
+    /// [`CacheKey::new`] for a weight whose hash is already known: a
+    /// [`HashedWeight`]'s [`HashedWeight::hash`], or a model's
+    /// [`crate::model_weight_hash`]. Touches no weight bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MvqError::InvalidConfig`] for unknown algorithm names.
+    pub fn from_hash(
+        algo: &str,
+        weight_hash: u64,
+        spec: &PipelineSpec,
+        seed: u64,
+    ) -> Result<CacheKey, MvqError> {
         let algo = canonical_name(algo).ok_or_else(|| {
             MvqError::InvalidConfig(format!("unknown compressor `{algo}` for cache key"))
         })?;
         Ok(CacheKey {
             algo,
-            weight_hash: weight_hash(weight),
+            weight_hash,
             spec_fingerprint: spec.fingerprint(),
             kernel: spec.kernel,
             seed,

@@ -46,8 +46,7 @@ use rand::{RngCore, SeedableRng};
 
 use crate::error::MvqError;
 use crate::pipeline::{
-    canonical_name, no_compressible_layer_error, Compressor, LayerArtifact, ModelArtifacts,
-    PipelineSpec,
+    no_compressible_layer_error, Compressor, LayerArtifact, ModelArtifacts, PipelineSpec,
 };
 use crate::store::{weight_hash, ArtifactCache, BlobKind, CacheKey, Fnv1a, ModelIndex, Persist};
 
@@ -247,16 +246,7 @@ pub fn model_cache_key(
     spec: &PipelineSpec,
     seed: u64,
 ) -> Result<CacheKey, MvqError> {
-    let algo = canonical_name(algo).ok_or_else(|| {
-        MvqError::InvalidConfig(format!("unknown compressor `{algo}` for model cache key"))
-    })?;
-    Ok(CacheKey {
-        algo,
-        weight_hash: model_weight_hash(model),
-        spec_fingerprint: spec.fingerprint(),
-        kernel: spec.kernel,
-        seed,
-    })
+    CacheKey::from_hash(algo, model_weight_hash(model), spec, seed)
 }
 
 /// The bounded admission window: producer blocks here until the next

@@ -11,7 +11,7 @@ use mvq_serve::{CacheMode, Priority};
 use mvq_tensor::Tensor;
 
 use crate::wire::{
-    read_message, write_message, WireErrorKind, WireRequest, WireResponse, WireStatsReply,
+    read_message, write_message, RequestFields, WireErrorKind, WireResponse, WireStatsReply,
     WireStatsRequest, DEFAULT_MAX_MESSAGE_LEN,
 };
 
@@ -157,7 +157,7 @@ impl NetClient {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
         let deadline_ms = request.deadline.map(|d| d.as_millis().min(u64::MAX as u128) as u64);
-        let wire = WireRequest {
+        let fields = RequestFields {
             id,
             name: request.name.clone(),
             algo: request.algo.clone(),
@@ -166,9 +166,9 @@ impl NetClient {
             priority: request.priority,
             cache_mode: request.cache_mode,
             deadline_ms,
-            weight: request.weight.clone(),
         };
-        let frame = wire.encode().map_err(NetError::Protocol)?;
+        // framed straight from the caller's weight: no copy of it first
+        let frame = fields.encode(&request.weight).map_err(NetError::Protocol)?;
         write_message(&mut self.stream, &frame).map_err(NetError::Io)?;
         let header = read_message(&mut self.stream, self.max_message_len).map_err(NetError::Io)?;
         match WireResponse::decode(&header).map_err(NetError::Protocol)? {

@@ -22,6 +22,15 @@
 //! * Graceful drain — [`NetServer::shutdown`] (and [`Drop`]) stops
 //!   accepting, half-closes read sides, and flushes every accepted
 //!   in-flight job's response before closing.
+//! * One pass per side over the weight — the client frames a request
+//!   straight from the caller's tensor (no copy first), and the server
+//!   decodes it with [`mvq_core::store::unframe_hashed`]: a single loop
+//!   over the weight bytes advances the frame checksum, computes the
+//!   weight's content hash and builds the `f32`s. The hash travels into
+//!   the [`mvq_serve::CompressionRequest`] as a
+//!   [`mvq_core::store::HashedWeight`], so the service keys its cache
+//!   (and derives content seeds) without reading the weight again. A
+//!   corrupt frame still fails as a checksum mismatch.
 //! * Zero-copy serving — a cache hit's response body is the cache's own
 //!   validated `Arc<[u8]>` blob written straight to the socket; wire
 //!   artifacts and cache blobs are the **same bytes** under the same

@@ -42,7 +42,7 @@ use mvq_obs::{names as metric, Registry};
 use mvq_serve::{CancelToken, CompressionRequest, CompressionService, JobError, Ticket};
 
 use crate::wire::{
-    read_message, write_message, WireErrorKind, WireRequest, WireResponse, WireStatsReply,
+    read_message, write_message, RequestFields, WireErrorKind, WireResponse, WireStatsReply,
     WireStatsRequest, DEFAULT_MAX_MESSAGE_LEN,
 };
 
@@ -74,20 +74,37 @@ impl Default for NetConfig {
 /// fields read the registry's `net.conn.*` counters, recorded at the
 /// same points that used to bump a private atomic struct. Fields and
 /// values are unchanged.
+///
+/// Every request counted in `requests` resolves into exactly one of
+/// `responses_ok`, `responses_err`, `cancelled_disconnect` or
+/// `cancelled_deadline`, so once the server is idle
+/// `requests = responses_ok + responses_err + cancelled_disconnect +
+/// cancelled_deadline`. The outcome counters count resolutions, not
+/// socket writes: each is bumped whether or not the connection is
+/// still alive to carry the response.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Connections accepted.
     pub connections: u64,
-    /// Well-formed requests decoded and handed to the service.
+    /// Well-formed request frames decoded, including requests then
+    /// rejected at validation (those resolve in `responses_err`).
+    /// Stats probes are not counted.
     pub requests: u64,
-    /// Ok responses written (artifact delivered).
+    /// Jobs that resolved Ok. The response (header + artifact) is
+    /// written if the connection is still alive; a job whose client is
+    /// already gone counts here too.
     pub responses_ok: u64,
-    /// Error responses (compression/cache/panic/reject) resolved.
+    /// Requests that resolved to an error other than a cancellation:
+    /// validation rejects and compression/cache/panic/shutdown
+    /// failures. Cancellations count in `cancelled_disconnect` or
+    /// `cancelled_deadline` instead, even though an error response is
+    /// written for them too.
     pub responses_err: u64,
     /// Jobs cancelled because their client disconnected while they were
     /// queued.
     pub cancelled_disconnect: u64,
-    /// Jobs cancelled because their queue deadline expired.
+    /// Jobs cancelled because their queue deadline expired (an error
+    /// response is written if the connection is alive).
     pub cancelled_deadline: u64,
     /// Connections dropped for protocol garbage (bad magic, truncated
     /// frame, oversize length, future format version, …).
@@ -378,8 +395,11 @@ fn conn_reader(
                 }
             }
         }
-        let wire = match WireRequest::decode(&msg) {
-            Ok(wire) => wire,
+        // one pass over the weight bytes verifies the frame checksum,
+        // hashes the weight and decodes it; the hash rides into the
+        // request, so the service keys its cache without re-reading it
+        let (wire, weight) = match RequestFields::decode_hashed(&msg) {
+            Ok(decoded) => decoded,
             Err(_) => {
                 // an undecodable frame poisons the stream's framing;
                 // drop the connection rather than guess at recovery
@@ -390,7 +410,7 @@ fn conn_reader(
         shared.metrics.counter(metric::NET_CONN_FRAMES_RX).inc();
         let id = wire.id;
         let token = CancelToken::new();
-        let mut builder = CompressionRequest::builder(wire.name, wire.weight, wire.algo)
+        let mut builder = CompressionRequest::builder(wire.name, weight, wire.algo)
             .spec(wire.spec)
             .priority(wire.priority)
             .cache_mode(wire.cache_mode)

@@ -15,8 +15,8 @@ use std::io::{Read, Write};
 
 use mvq_core::pipeline::PipelineSpec;
 use mvq_core::store::{
-    frame_blob, put_opt_u64, put_str, put_tensor, put_u32, put_u64, put_u8, unframe_blob, BlobKind,
-    Reader, HEADER_LEN,
+    frame_blob, put_opt_u64, put_str, put_tensor, put_u32, put_u64, put_u8, unframe_blob,
+    unframe_hashed, BlobKind, HashedWeight, Reader, HEADER_LEN,
 };
 use mvq_core::{GroupingStrategy, KernelStrategy, MvqError};
 use mvq_obs::{
@@ -179,14 +179,26 @@ pub struct WireRequest {
     pub weight: Tensor,
 }
 
-impl WireRequest {
-    /// Encodes into a framed `BlobKind::WireRequest` message body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MvqError::Codec`] when a length field overflows (a
-    /// > 4 GiB name, a rank-256 tensor).
-    pub fn encode(&self) -> Result<Vec<u8>, MvqError> {
+/// Every [`WireRequest`] field but the weight, in wire order: the
+/// leading fields of a request payload. Shared by both directions so
+/// the client can frame a request without cloning its weight and the
+/// server can decode one without a second pass over it.
+#[derive(Debug, Clone)]
+pub(crate) struct RequestFields {
+    pub(crate) id: u64,
+    pub(crate) name: String,
+    pub(crate) algo: String,
+    pub(crate) spec: PipelineSpec,
+    pub(crate) seed: Option<u64>,
+    pub(crate) priority: Priority,
+    pub(crate) cache_mode: CacheMode,
+    pub(crate) deadline_ms: Option<u64>,
+}
+
+impl RequestFields {
+    /// Encodes these fields followed by `weight` into a framed
+    /// `BlobKind::WireRequest` message body.
+    pub(crate) fn encode(&self, weight: &Tensor) -> Result<Vec<u8>, MvqError> {
         let mut p = Vec::new();
         put_u64(&mut p, self.id);
         put_opt_u64(&mut p, self.deadline_ms);
@@ -205,19 +217,19 @@ impl WireRequest {
         put_u32(&mut p, self.spec.scalar_bits);
         put_u64(&mut p, self.spec.swap_trials as u64);
         put_u8(&mut p, kernel_tag(self.spec.kernel));
-        put_tensor(&mut p, &self.weight)?;
+        put_tensor(&mut p, weight)?;
         Ok(frame_blob(BlobKind::WireRequest, p))
     }
 
-    /// Decodes a framed `BlobKind::WireRequest` message body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MvqError::Codec`] for bad framing (magic, version,
-    /// kind, checksum) or a malformed payload.
-    pub fn decode(bytes: &[u8]) -> Result<WireRequest, MvqError> {
-        let payload = unframe_blob(BlobKind::WireRequest, bytes)?;
-        let mut r = Reader::new(payload);
+    /// Decodes a framed `BlobKind::WireRequest` message body in one pass
+    /// over the weight bytes: the frame checksum, the weight's
+    /// [`mvq_core::weight_hash`] and its `f32`s come out of the same loop
+    /// ([`unframe_hashed`]).
+    pub(crate) fn decode_hashed(bytes: &[u8]) -> Result<(RequestFields, HashedWeight), MvqError> {
+        unframe_hashed(BlobKind::WireRequest, bytes, RequestFields::read)
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<RequestFields, MvqError> {
         let id = r.u64()?;
         let deadline_ms = r.opt_u64()?;
         let priority = priority_from_tag(r.u8()?)?;
@@ -259,9 +271,51 @@ impl WireRequest {
             swap_trials,
             kernel,
         };
-        let weight = r.tensor()?;
-        r.finish()?;
-        Ok(WireRequest { id, name, algo, spec, seed, priority, cache_mode, deadline_ms, weight })
+        Ok(RequestFields { id, name, algo, spec, seed, priority, cache_mode, deadline_ms })
+    }
+}
+
+impl WireRequest {
+    /// Encodes into a framed `BlobKind::WireRequest` message body.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MvqError::Codec`] when a length field overflows (a
+    /// > 4 GiB name, a rank-256 tensor).
+    pub fn encode(&self) -> Result<Vec<u8>, MvqError> {
+        let fields = RequestFields {
+            id: self.id,
+            name: self.name.clone(),
+            algo: self.algo.clone(),
+            spec: self.spec.clone(),
+            seed: self.seed,
+            priority: self.priority,
+            cache_mode: self.cache_mode,
+            deadline_ms: self.deadline_ms,
+        };
+        fields.encode(&self.weight)
+    }
+
+    /// Decodes a framed `BlobKind::WireRequest` message body (the
+    /// server's one-pass decode, with the weight hash dropped).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MvqError::Codec`] for bad framing (magic, version,
+    /// kind, checksum) or a malformed payload.
+    pub fn decode(bytes: &[u8]) -> Result<WireRequest, MvqError> {
+        let (f, weight) = RequestFields::decode_hashed(bytes)?;
+        Ok(WireRequest {
+            id: f.id,
+            name: f.name,
+            algo: f.algo,
+            spec: f.spec,
+            seed: f.seed,
+            priority: f.priority,
+            cache_mode: f.cache_mode,
+            deadline_ms: f.deadline_ms,
+            weight: weight.into_tensor(),
+        })
     }
 }
 
@@ -678,6 +732,17 @@ mod tests {
         assert_eq!(back.weight.dims(), req.weight.dims());
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back.weight), bits(&req.weight));
+    }
+
+    #[test]
+    fn server_decode_carries_the_weight_hash() {
+        let req = request();
+        let frame = req.encode().unwrap();
+        let (fields, weight) = RequestFields::decode_hashed(&frame).unwrap();
+        assert_eq!(fields.id, req.id);
+        assert_eq!(weight.hash(), mvq_core::weight_hash(&req.weight));
+        // the client's frame (no weight copy) is the same bytes
+        assert_eq!(fields.encode(weight.tensor()).unwrap(), frame);
     }
 
     #[test]

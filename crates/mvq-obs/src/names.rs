@@ -63,17 +63,24 @@ pub const SERVE_JOBS_CANCELLED: u16 = 13;
 pub const SERVE_JOBS_DEDUPED: u16 = 14;
 /// `net.conn.accepted` — TCP connections accepted (counter).
 pub const NET_CONN_ACCEPTED: u16 = 15;
-/// `net.conn.frames_rx` — well-formed compression requests received
-/// (counter).
+/// `net.conn.frames_rx` — well-formed compression requests decoded,
+/// including those then rejected at validation (counter). Each one
+/// resolves into exactly one of `net.conn.responses_ok`,
+/// `net.conn.responses_err`, `net.conn.cancelled_disconnect` or
+/// `net.conn.cancelled_deadline`.
 pub const NET_CONN_FRAMES_RX: u16 = 16;
-/// `net.conn.responses_ok` — successful responses written (counter).
+/// `net.conn.responses_ok` — requests resolved Ok, counted whether or
+/// not the connection was still alive to write the response (counter).
 pub const NET_CONN_RESPONSES_OK: u16 = 17;
-/// `net.conn.responses_err` — error responses written (counter).
+/// `net.conn.responses_err` — requests resolved to an error other than
+/// a cancellation: validation rejects and job failures (counter).
+/// Cancelled jobs count under the two `cancelled_*` counters instead.
 pub const NET_CONN_RESPONSES_ERR: u16 = 18;
 /// `net.conn.cancelled_disconnect` — jobs cancelled because their
 /// client disconnected (counter).
 pub const NET_CONN_CANCELLED_DISCONNECT: u16 = 19;
-/// `net.conn.cancelled_deadline` — jobs whose queue deadline expired
+/// `net.conn.cancelled_deadline` — jobs whose queue deadline expired;
+/// the error response is still written if the connection is alive
 /// (counter).
 pub const NET_CONN_CANCELLED_DEADLINE: u16 = 20;
 /// `net.conn.protocol_errors` — malformed frames that closed a

@@ -12,7 +12,7 @@
 use std::time::{Duration, Instant};
 
 use mvq_core::pipeline::{by_name, canonical_name, PipelineSpec};
-use mvq_core::store::Fnv1a;
+use mvq_core::store::{Fnv1a, HashedWeight};
 use mvq_core::{model_weight_hash, MvqError, StreamConfig};
 use mvq_nn::Sequential;
 use mvq_tensor::Tensor;
@@ -74,7 +74,7 @@ impl CacheMode {
 #[derive(Debug, Clone)]
 pub struct CompressionRequest {
     name: String,
-    weight: Tensor,
+    weight: HashedWeight,
     algo: &'static str,
     spec: PipelineSpec,
     seed: Option<u64>,
@@ -87,14 +87,20 @@ pub struct CompressionRequest {
 impl CompressionRequest {
     /// Starts building a request to compress `weight` with the registry
     /// algorithm `algo` (aliases like `vq` are canonicalized at build).
+    ///
+    /// `weight` is a [`Tensor`] (hashed here, once) or a
+    /// [`HashedWeight`] that already carries its hash — e.g. one the
+    /// network front decoded and hashed in a single pass. The hash keys
+    /// the cache and derives the content seed; the service never hashes
+    /// the weight again.
     pub fn builder(
         name: impl Into<String>,
-        weight: Tensor,
+        weight: impl Into<HashedWeight>,
         algo: impl Into<String>,
     ) -> CompressionRequestBuilder {
         CompressionRequestBuilder {
             name: name.into(),
-            weight,
+            weight: weight.into(),
             algo: algo.into(),
             spec: PipelineSpec::default(),
             seed: None,
@@ -112,7 +118,13 @@ impl CompressionRequest {
 
     /// The weight tensor to compress.
     pub fn weight(&self) -> &Tensor {
-        &self.weight
+        self.weight.tensor()
+    }
+
+    /// The weight's [`mvq_core::weight_hash`], computed once when the
+    /// request was built.
+    pub(crate) fn weight_hash(&self) -> u64 {
+        self.weight.hash()
     }
 
     /// Canonical registry algorithm name.
@@ -156,13 +168,13 @@ impl CompressionRequest {
     /// The seed this request will actually compress with: the pinned seed
     /// or the content-derived one.
     pub(crate) fn resolved_seed(&self) -> u64 {
-        self.seed.unwrap_or_else(|| content_seed(&self.weight, &self.spec, self.algo))
+        self.seed.unwrap_or_else(|| content_seed(self.weight.hash(), &self.spec, self.algo))
     }
 
     pub(crate) fn into_parts(
         self,
     ) -> (String, Tensor, &'static str, PipelineSpec, Option<Instant>, Option<CancelToken>) {
-        (self.name, self.weight, self.algo, self.spec, self.deadline, self.cancel)
+        (self.name, self.weight.into_tensor(), self.algo, self.spec, self.deadline, self.cancel)
     }
 }
 
@@ -170,7 +182,7 @@ impl CompressionRequest {
 #[derive(Debug, Clone)]
 pub struct CompressionRequestBuilder {
     name: String,
-    weight: Tensor,
+    weight: HashedWeight,
     algo: String,
     spec: PipelineSpec,
     seed: Option<u64>,
@@ -241,11 +253,11 @@ impl CompressionRequestBuilder {
         if self.name.is_empty() {
             return Err(MvqError::InvalidConfig("request name must not be empty".into()));
         }
-        if self.weight.numel() == 0 {
+        if self.weight.tensor().numel() == 0 {
             return Err(MvqError::InvalidConfig(format!(
                 "request `{}`: weight of dims {:?} has no elements",
                 self.name,
-                self.weight.dims()
+                self.weight.tensor().dims()
             )));
         }
         let algo = canonical_name(&self.algo).ok_or_else(|| {
@@ -287,6 +299,9 @@ impl CompressionRequestBuilder {
 pub struct ModelCompressionRequest {
     name: String,
     model: Sequential,
+    /// [`model_weight_hash`] of `model`, computed once at build: both the
+    /// content seed and the cache key derive from it.
+    model_hash: u64,
     algo: &'static str,
     spec: PipelineSpec,
     stream: StreamConfig,
@@ -364,12 +379,17 @@ impl ModelCompressionRequest {
         self.cancel.as_ref()
     }
 
+    /// The model's [`model_weight_hash`], computed once at build.
+    pub(crate) fn model_hash(&self) -> u64 {
+        self.model_hash
+    }
+
     /// The seed this request will actually compress with.
     pub(crate) fn resolved_seed(&self) -> u64 {
         self.seed.unwrap_or_else(|| {
             let mut h = Fnv1a::new();
             h.update(b"mvq.serve.modelseed.v1");
-            h.update_u64(model_weight_hash(&self.model));
+            h.update_u64(self.model_hash);
             h.update_u64(self.spec.fingerprint());
             h.update(self.algo.as_bytes());
             h.finish()
@@ -480,6 +500,7 @@ impl ModelCompressionRequestBuilder {
         by_name(algo, &self.spec)?;
         Ok(ModelCompressionRequest {
             name: self.name,
+            model_hash: model_weight_hash(&self.model),
             model: self.model,
             algo,
             spec: self.spec,
@@ -497,10 +518,10 @@ impl ModelCompressionRequestBuilder {
 /// same RNG stream, so unseeded work dedupes and caches across batches
 /// and processes. The domain string is pinned: existing unseeded cache
 /// blobs are keyed under it, so changing it would orphan them.
-pub(crate) fn content_seed(weight: &Tensor, spec: &PipelineSpec, canonical_algo: &str) -> u64 {
+pub(crate) fn content_seed(weight_hash: u64, spec: &PipelineSpec, canonical_algo: &str) -> u64 {
     let mut h = Fnv1a::new();
     h.update(b"mvq.serve.contentseed.v1");
-    h.update_u64(mvq_core::weight_hash(weight));
+    h.update_u64(weight_hash);
     h.update_u64(spec.fingerprint());
     h.update(canonical_algo.as_bytes());
     h.finish()
@@ -558,6 +579,27 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(key(&a), key(&b));
+    }
+
+    /// The hashes a request computes once at build are the tensor's and
+    /// model's content hashes, and the content seeds derived from them
+    /// are pinned: a drift would orphan every unseeded cache blob.
+    #[test]
+    fn stored_hashes_keep_seed_and_key_values() {
+        let request = CompressionRequest::builder("a", weight(), "mvq").build().unwrap();
+        assert_eq!(request.weight_hash(), mvq_core::weight_hash(request.weight()));
+        assert_eq!(request.weight_hash(), 17906136501245852845);
+        assert_eq!(request.resolved_seed(), 13928516773902597487);
+        let hashed =
+            CompressionRequest::builder("b", HashedWeight::new(weight()), "mvq").build().unwrap();
+        assert_eq!(hashed.resolved_seed(), request.resolved_seed());
+
+        let mut rng = StdRng::seed_from_u64(24);
+        let model = mvq_nn::models::tiny_cnn(4, 8, &mut rng);
+        let request = ModelCompressionRequest::builder("m", model, "mvq").build().unwrap();
+        assert_eq!(request.model_hash(), model_weight_hash(request.model()));
+        assert_eq!(request.model_hash(), 2026147136727711821);
+        assert_eq!(request.resolved_seed(), 10879602731211789246);
     }
 
     #[test]

@@ -19,8 +19,7 @@ use std::time::Instant;
 use mvq_core::pipeline::{by_name, PipelineSpec};
 use mvq_core::store::{ArtifactCache, CacheBudget, CacheKey, CacheStats, Persist, DEFAULT_SHARDS};
 use mvq_core::{
-    load_streamed_model, model_cache_key, stream_compress_model, MvqError, ProgressHandle,
-    StreamConfig,
+    load_streamed_model, stream_compress_model, MvqError, ProgressHandle, StreamConfig,
 };
 use mvq_nn::Sequential;
 use mvq_obs::{names as metric, Registry, Stage, Trace, TraceOutcome};
@@ -565,7 +564,7 @@ impl CompressionService {
     fn enqueue(&self, request: CompressionRequest, block: bool) -> Result<Ticket, SubmitError> {
         let trace = Trace::begin(request.name());
         let seed = request.resolved_seed();
-        let key = CacheKey::new(request.algo(), request.weight(), request.spec(), seed)
+        let key = CacheKey::from_hash(request.algo(), request.weight_hash(), request.spec(), seed)
             .expect("request algo was canonicalized at build");
         // lint:allow(unbounded-channel) -- per-job result channel: carries at most one message per waiter, and queue depth itself is bounded by ServiceConfig
         let (tx, rx) = mpsc::channel();
@@ -693,7 +692,7 @@ impl CompressionService {
     ) -> Result<Ticket, SubmitError> {
         let trace = Trace::begin(request.name());
         let seed = request.resolved_seed();
-        let key = model_cache_key(request.algo(), request.model(), request.spec(), seed)
+        let key = CacheKey::from_hash(request.algo(), request.model_hash(), request.spec(), seed)
             .expect("request algo was canonicalized at build");
         // lint:allow(unbounded-channel) -- per-job result channel: carries at most one message per waiter, and queue depth itself is bounded by ServiceConfig
         let (tx, rx) = mpsc::channel();

@@ -95,6 +95,17 @@ fn assert_server_alive(server: &NetServer, seed: u64) {
     assert_eq!(artifact.reconstruct().expect("reconstruct").dims(), &[32, 16]);
 }
 
+/// Asserts the counter identity: every decoded request resolved into
+/// exactly one outcome counter (call once the server is idle).
+fn assert_every_request_resolved_once(server: &NetServer) {
+    let s = server.stats();
+    assert_eq!(
+        s.requests,
+        s.responses_ok + s.responses_err + s.cancelled_disconnect + s.cancelled_deadline,
+        "requests must equal the sum of their outcomes: {s:?}"
+    );
+}
+
 #[test]
 fn round_trip_serves_the_cache_blob_bytes_on_a_hit() {
     let server = one_worker_server();
@@ -229,6 +240,10 @@ fn client_disconnect_cancels_its_queued_job_and_frees_the_worker() {
 
     // The worker is free for the living.
     assert_server_alive(&server, 22);
+    // the doomed request resolved as a cancellation, never as a response
+    assert_eq!(server.stats().responses_ok, 1);
+    assert_eq!(server.stats().responses_err, 0);
+    assert_every_request_resolved_once(&server);
 }
 
 #[test]
@@ -260,6 +275,10 @@ fn deadline_expiry_while_queued_comes_back_as_cancelled_deadline() {
         "the expired job ran anyway: its artifact reached the cache"
     );
     assert_server_alive(&server, 32);
+    // the expiry counts as a cancellation, not an error response, even
+    // though an error response was written for it
+    assert_eq!(server.stats().responses_err, 0);
+    assert_every_request_resolved_once(&server);
 }
 
 #[test]

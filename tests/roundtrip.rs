@@ -217,3 +217,117 @@ fn format_v1_golden_blob_decodes() {
     let decoded = CompressedArtifact::from_bytes(&golden).expect("golden v1 blob must decode");
     assert_eq!(bits(&decoded.reconstruct().unwrap()), bits(&artifact.reconstruct().unwrap()));
 }
+
+/// Element bit patterns the fused decode must carry through untouched:
+/// both zeros, quiet and signaling NaNs with payloads, infinities.
+const SPECIAL_BITS: [u32; 7] =
+    [0x0000_0000, 0x8000_0000, 0x7fc0_0001, 0xffa0_0f00, 0x7f80_0001, 0x7f80_0000, 0xff80_0000];
+
+/// A framed payload of three leading fields and a trailing rank-0..=4
+/// tensor whose elements mix random bit patterns with [`SPECIAL_BITS`].
+fn hashed_frame(seed: u64, rank: usize) -> Vec<u8> {
+    use mvq::core::store::{frame_blob, put_opt_u64, put_str, put_tensor, put_u64, BlobKind};
+    use rand::{Rng, RngCore};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dims: Vec<usize> = (0..rank).map(|_| rng.gen_range(0..=4usize)).collect();
+    let numel = dims.iter().product();
+    let data = (0..numel)
+        .map(|_| {
+            let bits = if rng.gen_bool(0.3) {
+                SPECIAL_BITS[rng.gen_range(0..SPECIAL_BITS.len())]
+            } else {
+                rng.next_u32()
+            };
+            f32::from_bits(bits)
+        })
+        .collect();
+    let weight = Tensor::from_vec(dims, data).expect("dims match data");
+    let mut p = Vec::new();
+    put_u64(&mut p, rng.next_u64());
+    put_str(&mut p, &format!("layer{}", rng.gen_range(0..1000))).expect("short name");
+    put_opt_u64(&mut p, rng.gen_bool(0.5).then(|| rng.next_u64()));
+    put_tensor(&mut p, &weight).expect("rank fits");
+    frame_blob(BlobKind::WireRequest, p)
+}
+
+type Fields = (u64, String, Option<u64>);
+
+fn read_fields(r: &mut mvq::core::store::Reader<'_>) -> Result<Fields, mvq::core::MvqError> {
+    Ok((r.u64()?, r.str()?, r.opt_u64()?))
+}
+
+/// The unfused reference: verify the frame, read the fields and the
+/// tensor, then hash the tensor in a second pass.
+fn reference_decode(frame: &[u8]) -> Result<(Fields, Tensor, u64), mvq::core::MvqError> {
+    use mvq::core::store::{unframe_blob, weight_hash, BlobKind, Reader};
+    let mut r = Reader::new(unframe_blob(BlobKind::WireRequest, frame)?);
+    let fields = read_fields(&mut r)?;
+    let tensor = r.tensor()?;
+    r.finish()?;
+    let hash = weight_hash(&tensor);
+    Ok((fields, tensor, hash))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The one-pass decode (checksum + weight hash + f32s in one loop)
+    /// equals frame verification, field reads and a separate
+    /// `weight_hash`, bit for bit; and a single flipped payload byte
+    /// anywhere — leading fields, dims or elements — is the checksum
+    /// mismatch, exactly as the unfused path reports it.
+    #[test]
+    fn fused_hashed_decode_equals_unframe_read_and_hash(seed in 0u64..u64::MAX, rank in 0usize..=4) {
+        use mvq::core::store::{unframe_hashed, BlobKind, HashedWeight, HEADER_LEN};
+        let frame = hashed_frame(seed, rank);
+        let (fields, tensor, hash) = reference_decode(&frame).expect("reference decode");
+        let (fused_fields, weight) =
+            unframe_hashed(BlobKind::WireRequest, &frame, read_fields).expect("fused decode");
+        prop_assert_eq!(&fused_fields, &fields);
+        prop_assert_eq!(weight.tensor().dims(), tensor.dims());
+        prop_assert_eq!(bits(weight.tensor()), bits(&tensor));
+        prop_assert_eq!(weight.hash(), hash);
+        prop_assert_eq!(HashedWeight::new(tensor).hash(), hash);
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        for at in HEADER_LEN..frame.len() {
+            let mut corrupt = frame.clone();
+            corrupt[at] ^= rand::Rng::gen_range(&mut rng, 1..=255u8);
+            let fused = unframe_hashed(BlobKind::WireRequest, &corrupt, read_fields);
+            let reference = reference_decode(&corrupt);
+            match (fused, reference) {
+                (Err(mvq::core::MvqError::Codec(f)), Err(mvq::core::MvqError::Codec(r))) => {
+                    prop_assert!(f.contains("checksum mismatch"), "byte {}: {}", at, f);
+                    prop_assert_eq!(f, r, "byte {}", at);
+                }
+                (f, r) => prop_assert!(false, "byte {}: fused {:?}, reference {:?}", at, f, r),
+            }
+        }
+    }
+}
+
+/// A tensor header claiming 2^32 - 1 elements over a 10-byte body is a
+/// typed truncation error from both decoders — raised by the one
+/// bounds-checked take of the body, before any element buffer exists.
+#[test]
+fn oversized_tensor_header_is_a_typed_error_before_allocation() {
+    use mvq::core::store::{
+        frame_blob, put_u64, put_u8, unframe_blob, unframe_hashed, BlobKind, Reader,
+    };
+    let mut p = Vec::new();
+    put_u64(&mut p, 7);
+    put_u8(&mut p, 1);
+    put_u64(&mut p, u64::from(u32::MAX));
+    p.extend_from_slice(&[0u8; 10]);
+    let frame = frame_blob(BlobKind::WireRequest, p);
+    match unframe_hashed(BlobKind::WireRequest, &frame, |r| r.u64()) {
+        Err(mvq::core::MvqError::Codec(m)) => assert!(m.contains("truncated"), "{m}"),
+        other => panic!("expected a typed truncation error, got {other:?}"),
+    }
+    let mut r = Reader::new(unframe_blob(BlobKind::WireRequest, &frame).expect("intact frame"));
+    assert_eq!(r.u64().expect("id"), 7);
+    match r.tensor() {
+        Err(mvq::core::MvqError::Codec(m)) => assert!(m.contains("truncated"), "{m}"),
+        other => panic!("expected a typed truncation error, got {other:?}"),
+    }
+}
