@@ -18,20 +18,18 @@
 //! code reports whether every job succeeded.
 //!
 //! With `--stream` the whole model is submitted as **one job per
-//! algorithm** ([`ModelCompressionRequest`]): the convs stream through
-//! the bounded-memory pipeline, each finished layer spilling to the
-//! service's cache as its own blob, with live per-layer progress printed
-//! from [`Ticket::progress`] while the job runs. The streamed result is
-//! bit-identical to the per-conv in-memory path.
+//! algorithm** ([`CompressionRequest::model_builder`]): the convs stream
+//! through the bounded-memory pipeline, each finished layer spilling to
+//! the service's cache as its own blob, with live per-layer progress
+//! printed from [`Ticket::progress`] while the job runs. The streamed
+//! result is bit-identical to the per-conv in-memory path.
 
 use std::process::ExitCode;
 
 use mvq_core::pipeline::{canonical_name, PipelineSpec};
 use mvq_core::KernelStrategy;
 use mvq_nn::models::Arch;
-use mvq_serve::{
-    CachePolicy, CompressionRequest, CompressionService, ModelCompressionRequest, Ticket,
-};
+use mvq_serve::{CachePolicy, CompressionRequest, CompressionService, Ticket};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -274,7 +272,7 @@ fn run_stream_jobs(
     let mut failures = 0usize;
     for algo in algos {
         let name = format!("model/{algo}");
-        let mut request = ModelCompressionRequest::builder(&name, model.clone(), algo.as_str())
+        let mut request = CompressionRequest::model_builder(&name, model.clone(), algo.as_str())
             .spec(spec.clone());
         if let Some(seed) = seed {
             request = request.seed(seed);
@@ -287,7 +285,7 @@ fn run_stream_jobs(
                 continue;
             }
         };
-        let mut ticket = service.submit_model(request);
+        let mut ticket = service.submit_one(request);
         // live progress on stderr; the final table row goes to stdout
         let mut last_done = 0usize;
         loop {

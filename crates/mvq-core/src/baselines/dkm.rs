@@ -66,7 +66,7 @@ pub fn dkm_cluster<R: Rng>(
         )));
     }
     let k = cfg.k.min(ng);
-    let mut centers = kmeanspp_init(data, k, rng);
+    let mut centers = kmeanspp_init(ng, d, |j| data.row(j), k, rng);
     // scale τ to the data's variance so defaults transfer across layers
     let data_scale: f32 =
         data.data().iter().map(|&x| x * x).sum::<f32>() / data.numel().max(1) as f32;

@@ -1,7 +1,7 @@
 //! Standard k-means clustering (paper §3) with k-means++ initialization,
 //! optional per-subvector importance weights (used by the BGD baseline),
 //! and assignment dispatched through the [`crate::kernels`] strategies
-//! (naive oracle / cache-blocked / minibatch) selected by
+//! (naive oracle / cache-blocked / simd / minibatch) selected by
 //! [`KmeansConfig::kernel`].
 
 use mvq_tensor::Tensor;
@@ -71,7 +71,7 @@ pub fn kmeans<R: Rng>(
     row_weights: Option<&[f32]>,
     rng: &mut R,
 ) -> Result<KmeansResult, MvqError> {
-    let (ng, _d) = check_data(data, cfg.k)?;
+    let (ng, d) = check_data(data, cfg.k)?;
     if let Some(w) = row_weights {
         if w.len() != ng {
             return Err(MvqError::InvalidConfig(format!(
@@ -91,7 +91,7 @@ pub fn kmeans<R: Rng>(
             rng,
         );
     }
-    let mut centers = kmeanspp_init(data, k, rng);
+    let mut centers = kmeanspp_init(ng, d, |j| data.row(j), k, rng);
     let mut assign = vec![0u32; ng];
     let mut iterations = 0;
     for iter in 0..cfg.max_iters {
@@ -125,7 +125,7 @@ fn kmeans_minibatch_dense<R: Rng>(
     if batch_size == 0 {
         return Err(MvqError::InvalidConfig("minibatch size must be positive".into()));
     }
-    let mut centers = kmeanspp_init(data, k, rng);
+    let mut centers = kmeanspp_init(ng, d, |j| data.row(j), k, rng);
     let mut mass = vec![0.0f32; k];
     for _ in 0..max_iters {
         for _ in 0..batch_size {
@@ -183,28 +183,36 @@ pub(crate) fn check_data(data: &Tensor, k: usize) -> Result<(usize, usize), MvqE
     Ok((data.dims()[0], data.dims()[1]))
 }
 
-/// k-means++ seeding: first center uniform, subsequent centers sampled
-/// proportionally to squared distance from the nearest chosen center.
-pub(crate) fn kmeanspp_init<R: Rng>(data: &Tensor, k: usize, rng: &mut R) -> Tensor {
-    let (ng, d) = (data.dims()[0], data.dims()[1]);
+/// k-means++ seeding over `n` rows of width `d` read through `row`: first
+/// center uniform, subsequent centers sampled proportionally to squared
+/// distance from the nearest chosen center. The accessor lets callers
+/// seed over a row subset (e.g. the live rows of several layer chunks)
+/// without copying it into one matrix.
+pub(crate) fn kmeanspp_init<'a, R: Rng>(
+    n: usize,
+    d: usize,
+    row: impl Fn(usize) -> &'a [f32],
+    k: usize,
+    rng: &mut R,
+) -> Tensor {
     let mut centers = Tensor::zeros(vec![k, d]);
-    let first = rng.gen_range(0..ng);
-    centers.row_mut(0).copy_from_slice(data.row(first));
-    let mut best_d2 = vec![f32::INFINITY; ng];
+    let first = rng.gen_range(0..n);
+    centers.row_mut(0).copy_from_slice(row(first));
+    let mut best_d2 = vec![f32::INFINITY; n];
     for c in 1..k {
         let prev = centers.row(c - 1).to_vec();
-        for j in 0..ng {
-            let d2 = sq_dist(data.row(j), &prev);
-            if d2 < best_d2[j] {
-                best_d2[j] = d2;
+        for (j, best) in best_d2.iter_mut().enumerate() {
+            let d2 = sq_dist(row(j), &prev);
+            if d2 < *best {
+                *best = d2;
             }
         }
         let total: f64 = best_d2.iter().map(|&x| x as f64).sum();
         let pick = if total <= 0.0 {
-            rng.gen_range(0..ng)
+            rng.gen_range(0..n)
         } else {
             let mut target = rng.gen_range(0.0..total);
-            let mut chosen = ng - 1;
+            let mut chosen = n - 1;
             for (j, &x) in best_d2.iter().enumerate() {
                 target -= x as f64;
                 if target <= 0.0 {
@@ -214,7 +222,7 @@ pub(crate) fn kmeanspp_init<R: Rng>(data: &Tensor, k: usize, rng: &mut R) -> Ten
             }
             chosen
         };
-        centers.row_mut(c).copy_from_slice(data.row(pick));
+        centers.row_mut(c).copy_from_slice(row(pick));
     }
     centers
 }

@@ -38,9 +38,10 @@ use crate::mask::NmMask;
 /// N:M `mask`, dispatching the hot loops through the kernel named by
 /// `cfg.kernel`.
 ///
-/// Under [`KernelStrategy::Minibatch`] this delegates to
-/// [`masked_kmeans_minibatch`] with [`default_minibatch_size`], clamping
-/// `k` to the number of live (not all-zero) subvectors.
+/// Under [`KernelStrategy::Minibatch`] this runs
+/// [`masked_kmeans_minibatch_chunked`] over the one chunk with
+/// [`default_minibatch_size`], clamping `k` to the number of live (not
+/// all-zero) subvectors.
 ///
 /// # Errors
 ///
@@ -61,18 +62,10 @@ pub fn masked_kmeans<R: Rng>(
         )));
     }
     if cfg.kernel == KernelStrategy::Minibatch {
-        let live = live_rows(data);
-        if live.is_empty() {
-            return Err(MvqError::InvalidConfig(
-                "all subvectors are zero; nothing to cluster".into(),
-            ));
-        }
-        let k = cfg.k.min(live.len());
-        let batch = default_minibatch_size(live.len(), k);
-        return minibatch_impl(data, mask, k, cfg.max_iters, batch, &live, rng);
+        return masked_kmeans_minibatch_chunked(&[(data, mask)], cfg, None, rng);
     }
     let k = cfg.k.min(ng);
-    let mut centers = kmeanspp_init(data, k, rng);
+    let mut centers = kmeanspp_init(ng, d, |j| data.row(j), k, rng);
     let mut assign = vec![0u32; ng];
     // the naive oracle path never reads the plan; only build it for the
     // blocked kernel
@@ -134,93 +127,24 @@ pub fn masked_kmeans_minibatch<R: Rng>(
     batch_size: usize,
     rng: &mut R,
 ) -> Result<KmeansResult, MvqError> {
-    let (ng, d) = check_data(data, cfg.k)?;
-    if mask.ng() != ng || mask.d() != d {
-        return Err(MvqError::InvalidConfig(format!(
-            "mask [{}, {}] does not match data [{ng}, {d}]",
-            mask.ng(),
-            mask.d()
-        )));
-    }
-    if batch_size == 0 {
-        return Err(MvqError::InvalidConfig("minibatch size must be positive".into()));
-    }
-    let live = live_rows(data);
-    if live.is_empty() {
-        return Err(MvqError::InvalidConfig("all subvectors are zero; nothing to cluster".into()));
-    }
-    if cfg.k > live.len() {
-        return Err(MvqError::InvalidConfig(format!(
-            "k = {} exceeds the {} live subvectors available to minibatch sampling",
-            cfg.k,
-            live.len()
-        )));
-    }
-    minibatch_impl(data, mask, cfg.k, cfg.max_iters, batch_size, &live, rng)
-}
-
-/// The minibatch loop proper; `live` is the precomputed non-dead row set
-/// (both entry points validate before calling, so the full-data scan runs
-/// exactly once even on the dispatch path).
-fn minibatch_impl<R: Rng>(
-    data: &Tensor,
-    mask: &NmMask,
-    k: usize,
-    max_iters: usize,
-    batch_size: usize,
-    live: &[usize],
-    rng: &mut R,
-) -> Result<KmeansResult, MvqError> {
-    let ng = data.dims()[0];
-    let d = data.dims()[1];
-    // Seeding and sampling run over the live subset only, so the result is
-    // identical whether or not dead rows are present in `data`.
-    let mut live_data = Tensor::zeros(vec![live.len(), d]);
-    for (r, &j) in live.iter().enumerate() {
-        live_data.row_mut(r).copy_from_slice(data.row(j));
-    }
-    let mut centers = kmeanspp_init(&live_data, k, rng);
-    let plan = MaskedDistancePlan::new(mask)?;
-    let mut counts = vec![0u64; k * d];
-    for _ in 0..max_iters {
-        for _ in 0..batch_size {
-            let j = live[rng.gen_range(0..live.len())];
-            let i = nearest_masked(data.row(j), &plan, j, &centers) as usize;
-            let row = data.row(j);
-            let mrow = mask.row(j);
-            let c = centers.row_mut(i);
-            for t in 0..d {
-                if mrow[t] {
-                    counts[i * d + t] += 1;
-                    c[t] += (row[t] - c[t]) / counts[i * d + t] as f32;
-                }
-            }
-        }
-    }
-    let mut assign = vec![0u32; ng];
-    masked_assign_blocked_into(data, &plan, &centers, &mut assign);
-    let sse = masked_sse_blocked(data, &plan, &centers, &assign);
-    Ok(KmeansResult {
-        codebook: Codebook::new(centers)?,
-        assignments: Assignments::new(assign, k)?,
-        sse,
-        iterations: max_iters,
-    })
+    masked_kmeans_minibatch_chunked(&[(data, mask)], cfg, Some(batch_size), rng)
 }
 
 /// Minibatch masked k-means over per-layer `(pruned, mask)` chunks —
-/// the crosslayer scope's streaming form. **Bit-identical** to
-/// [`masked_kmeans_minibatch`] over the chunks' concatenation, without
+/// the one minibatch loop: [`masked_kmeans_minibatch`] and the
+/// [`masked_kmeans`] strategy dispatch run it over a single chunk, and the
+/// crosslayer scope over one chunk per layer. A multi-chunk run is
+/// **bit-identical** to a run over the chunks' concatenation, without
 /// ever materializing the concatenated matrix or mask: seeding and batch
 /// sampling address rows through a chunk map, each chunk keeps its own
 /// [`MaskedDistancePlan`] (plans are row-local, so per-chunk rows equal
 /// the concatenation's), and the final SSE threads a single f64
 /// accumulator across chunks in row order.
 ///
-/// `batch_size = None` mirrors the [`masked_kmeans`] strategy dispatch:
-/// `k` is clamped to the live-row count and the batch is
-/// [`default_minibatch_size`]. `Some(b)` mirrors
-/// [`masked_kmeans_minibatch`]'s strict `k` validation.
+/// `batch_size = None` is the [`masked_kmeans`] strategy dispatch: `k` is
+/// clamped to the live-row count and the batch is
+/// [`default_minibatch_size`]. `Some(b)` is [`masked_kmeans_minibatch`]:
+/// `cfg.k` above the live-row count is an error.
 ///
 /// Returns assignments over the **concatenated** row space (chunk 0's
 /// rows first), so callers slice per chunk exactly as they would after a
@@ -299,41 +223,12 @@ pub fn masked_kmeans_minibatch_chunked<R: Rng>(
         let (c, r) = map[pos];
         chunks[c as usize].0.row(r as usize)
     };
-    // k-means++ over the live rows, replicating `kmeanspp_init` on the
-    // dense live-row copy draw for draw and op for op
-    let mut centers = Tensor::zeros(vec![k, d]);
-    let first = rng.gen_range(0..map.len());
-    centers.row_mut(0).copy_from_slice(row(first));
-    let mut best_d2 = vec![f32::INFINITY; map.len()];
-    for c in 1..k {
-        let prev = centers.row(c - 1).to_vec();
-        for (j, d2) in best_d2.iter_mut().enumerate() {
-            let v = crate::kmeans::sq_dist(row(j), &prev);
-            if v < *d2 {
-                *d2 = v;
-            }
-        }
-        let total: f64 = best_d2.iter().map(|&x| x as f64).sum();
-        let pick = if total <= 0.0 {
-            rng.gen_range(0..map.len())
-        } else {
-            let mut target = rng.gen_range(0.0..total);
-            let mut chosen = map.len() - 1;
-            for (j, &x) in best_d2.iter().enumerate() {
-                target -= x as f64;
-                if target <= 0.0 {
-                    chosen = j;
-                    break;
-                }
-            }
-            chosen
-        };
-        centers.row_mut(c).copy_from_slice(row(pick));
-    }
+    // seeding and sampling run over the live rows only, so dead rows in
+    // any chunk never change the learned codebook
+    let mut centers = kmeanspp_init(map.len(), d, row, k, rng);
     let plans: Vec<MaskedDistancePlan> =
         chunks.iter().map(|(_, mask)| MaskedDistancePlan::new(mask)).collect::<Result<_, _>>()?;
-    // Sculley updates over sampled live rows — the same draws and lane
-    // arithmetic as `minibatch_impl` over the concatenation
+    // Sculley updates over sampled live rows
     let mut counts = vec![0u64; k * d];
     for _ in 0..cfg.max_iters {
         for _ in 0..batch {
@@ -371,11 +266,6 @@ pub fn masked_kmeans_minibatch_chunked<R: Rng>(
         sse: sse as f32,
         iterations: cfg.max_iters,
     })
-}
-
-/// Indices of subvectors with at least one nonzero lane.
-fn live_rows(data: &Tensor) -> Vec<usize> {
-    (0..data.dims()[0]).filter(|&j| data.row(j).iter().any(|&x| x != 0.0)).collect()
 }
 
 /// Nearest codeword for a single subvector under its mask multipliers.
@@ -450,8 +340,8 @@ pub(crate) fn masked_sse_naive(
 
 /// Naive reference for the masked assignment (Eq. 2), O(NG·k·d) with
 /// explicit masking and fixed left-to-right f32 accumulation — the oracle
-/// the blocked kernel is property-tested against, and the `naive` arm of
-/// the `masked_kmeans` Criterion bench.
+/// every kernel is property-tested against, and that `bench_kernels`
+/// checks each strategy's assignment against before timing it.
 pub fn masked_assign_naive(data: &Tensor, mask: &NmMask, centers: &Tensor) -> Vec<u32> {
     let ng = data.dims()[0];
     let d = data.dims()[1];
@@ -544,7 +434,7 @@ mod tests {
     fn blocked_assignment_matches_naive() {
         let (data, mask) = pruned_random(64, 8, 2, 4, 0);
         let mut rng = StdRng::seed_from_u64(1);
-        let centers = kmeanspp_init(&data, 7, &mut rng);
+        let centers = kmeanspp_init(64, 8, |j| data.row(j), 7, &mut rng);
         let naive = masked_assign_naive(&data, &mask, &centers);
         let blocked =
             crate::kernels::masked_assign_with(KernelStrategy::Blocked, &data, &mask, &centers)
@@ -730,25 +620,6 @@ mod tests {
             live_only.codebook.centers().data(),
             "dead subvectors leaked into the minibatch codebook"
         );
-    }
-
-    #[test]
-    fn chunked_single_chunk_is_bit_identical_to_monolithic() {
-        let (data, mask) = pruned_random(256, 16, 4, 16, 21);
-        let cfg = KmeansConfig::new(12);
-        let mono = masked_kmeans_minibatch(&data, &mask, &cfg, 64, &mut StdRng::seed_from_u64(22))
-            .unwrap();
-        let chunked = masked_kmeans_minibatch_chunked(
-            &[(&data, &mask)],
-            &cfg,
-            Some(64),
-            &mut StdRng::seed_from_u64(22),
-        )
-        .unwrap();
-        assert_eq!(mono.assignments.indices(), chunked.assignments.indices());
-        assert_eq!(mono.codebook.centers().data(), chunked.codebook.centers().data());
-        assert_eq!(mono.sse.to_bits(), chunked.sse.to_bits());
-        assert_eq!(mono.iterations, chunked.iterations);
     }
 
     #[test]

@@ -95,9 +95,14 @@ pub const STREAM_WINDOW_BYTES_PEAK: u16 = 23;
 /// `stream.window.layers_peak` — high-water layer occupancy of the
 /// streaming admission window (gauge).
 pub const STREAM_WINDOW_LAYERS_PEAK: u16 = 24;
+/// `serve.jobs.disconnected` — submissions made after shutdown began,
+/// answered at once with `Disconnected`; each also counts under
+/// `serve.jobs.submitted`. Jobs abandoned in the queue of a zero-worker
+/// service are not counted here (counter).
+pub const SERVE_JOBS_DISCONNECTED: u16 = 25;
 
 /// Number of registered metrics; IDs are dense in `0..METRIC_COUNT`.
-pub const METRIC_COUNT: usize = 25;
+pub const METRIC_COUNT: usize = 26;
 
 /// The full metric table: `(id, dotted name, kind)` per metric, in ID
 /// order. [`crate::Registry::new`] builds its slots from this.
@@ -127,6 +132,7 @@ pub const TABLE: &[(u16, &str, MetricKind)] = &[
     (NET_CONN_STATS_REQUESTS, "net.conn.stats_requests", MetricKind::Counter),
     (STREAM_WINDOW_BYTES_PEAK, "stream.window.bytes_peak", MetricKind::Gauge),
     (STREAM_WINDOW_LAYERS_PEAK, "stream.window.layers_peak", MetricKind::Gauge),
+    (SERVE_JOBS_DISCONNECTED, "serve.jobs.disconnected", MetricKind::Counter),
 ];
 
 /// The dotted name of a metric ID, or `None` for an unknown ID (a

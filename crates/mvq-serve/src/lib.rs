@@ -5,15 +5,17 @@
 //! worker-thread pool over std channels (no async runtime), per-job error
 //! isolation, and a content-addressed, byte-budgeted artifact cache.
 //!
-//! * [`CompressionRequest`] — validated at construction
-//!   ([`CompressionRequest::builder`]): algorithm name, [`PipelineSpec`]
-//!   (+ kernel strategy), optional pinned seed, [`Priority`], and
-//!   [`CacheMode`], each invalid combination a typed
+//! * [`CompressionRequest`] — one weight matrix
+//!   ([`CompressionRequest::builder`]) or one whole model
+//!   ([`CompressionRequest::model_builder`]), validated at construction:
+//!   algorithm name, [`PipelineSpec`] (+ kernel strategy), optional
+//!   pinned seed, [`Priority`], [`CacheMode`], and a model's
+//!   [`StreamConfig`], each invalid combination a typed
 //!   [`MvqError`](mvq_core::MvqError) *before* any work queues.
-//! * [`CompressionService::submit_one`] — admits one request through a
-//!   bounded priority queue (backpressure: `submit_one` blocks while
-//!   full, [`CompressionService::try_submit_one`] refuses and hands the
-//!   request back) and returns a [`Ticket`]; redeem with
+//! * [`CompressionService::submit_one`] — admits one request of either
+//!   kind through a bounded priority queue (backpressure: `submit_one`
+//!   blocks while full, [`CompressionService::try_submit_one`] refuses
+//!   and hands the request back) and returns a [`Ticket`]; redeem with
 //!   [`Ticket::wait`] or poll with [`Ticket::try_poll`].
 //! * Per-job outcomes — every ticket resolves to
 //!   `Ok(`[`JobOutcome`]`)` or a typed [`JobError`]; one poisoned job
@@ -21,9 +23,9 @@
 //! * [`CachePolicy`] — byte budgets (memory and disk) for the service's
 //!   [`ArtifactCache`](mvq_core::store::ArtifactCache), enforced by LRU
 //!   eviction that survives restarts.
-//! * [`CompressionService::submit_model`] — whole-model jobs as a
-//!   first-class request kind ([`ModelCompressionRequest`]): the model's
-//!   convs stream through `mvq_core`'s bounded-window pipeline
+//! * Whole-model jobs — a model request goes through the same
+//!   admission as a weight; the model's convs stream through
+//!   `mvq_core`'s bounded-window pipeline
 //!   ([`mvq_core::stream_compress_model`]), each finished layer spilling
 //!   to the cache as its own blob, with per-layer [`Progress`] observable
 //!   on the ticket ([`Ticket::progress`]) while the job runs. Identical
@@ -88,10 +90,7 @@ mod request;
 mod service;
 mod ticket;
 
-pub use request::{
-    CacheMode, CompressionRequest, CompressionRequestBuilder, ModelCompressionRequest,
-    ModelCompressionRequestBuilder, Priority,
-};
+pub use request::{CacheMode, CompressionRequest, CompressionRequestBuilder, Priority};
 pub use service::{CachePolicy, CompressionService, ServiceBuilder, SubmitError};
 pub use ticket::{CancelKind, CancelToken, JobError, JobOutcome, JobResult, Ticket};
 
@@ -324,27 +323,46 @@ mod tests {
     #[test]
     fn cancelled_queued_job_is_dropped_at_dequeue_and_never_runs() {
         let service = CompressionService::builder().workers(1).queue_capacity(8).build().unwrap();
-        let blocker = service.submit_one(blocker_request("blocker"));
-        wait_until_queue_empty(&service);
+        // cancelled before submission, so the outcome does not depend on
+        // whether the blocker is still running when the jobs queue (the
+        // blocker lasts milliseconds in release); cancelling an already
+        // queued job is pinned by the `pop_live_job` unit tests
         let token = CancelToken::new();
+        token.cancel();
         let request = CompressionRequest::builder("doomed", weight(43), "mvq")
             .spec(spec())
             .cancel_token(token.clone())
             .build()
             .unwrap();
+        // model work queues through the same path and is dropped the same way
+        let model = mvq_nn::models::tiny_cnn(4, 8, &mut StdRng::seed_from_u64(25));
+        let model_request = CompressionRequest::model_builder("doomed-model", model, "mvq")
+            .spec(spec())
+            .cancel_token(token.clone())
+            .build()
+            .unwrap();
+        let blocker = service.submit_one(blocker_request("blocker"));
+        wait_until_queue_empty(&service);
         let ticket = service.submit_one(request);
         let doomed_key = ticket.key().clone();
-        token.cancel(); // the job is still queued behind the blocker
-        match ticket.wait() {
-            Err(JobError::Cancelled { name, kind: CancelKind::Explicit }) => {
-                assert_eq!(name, "doomed");
+        let model_ticket = service.submit_one(model_request);
+        let model_key = model_ticket.key().clone();
+        for (ticket, expected) in [(ticket, "doomed"), (model_ticket, "doomed-model")] {
+            match ticket.wait() {
+                Err(JobError::Cancelled { name, kind: CancelKind::Explicit }) => {
+                    assert_eq!(name, expected);
+                }
+                other => panic!("expected Cancelled(Explicit), got {other:?}"),
             }
-            other => panic!("expected Cancelled(Explicit), got {other:?}"),
         }
         assert!(blocker.wait().is_ok(), "the blocker is unaffected");
         assert!(
             service.cache().get_raw(&doomed_key).unwrap().is_none(),
             "the cancelled job ran anyway: its artifact reached the cache"
+        );
+        assert!(
+            mvq_core::load_streamed_model(service.cache(), &model_key).unwrap().is_none(),
+            "the cancelled model job ran anyway: its index reached the cache"
         );
     }
 
@@ -385,13 +403,13 @@ mod tests {
         let spec = PipelineSpec { k: 8, ..PipelineSpec::default() };
 
         let service = CompressionService::builder().workers(1).build().unwrap();
-        let request = ModelCompressionRequest::builder("mobilenet", model.clone(), "mvq")
+        let request = CompressionRequest::model_builder("mobilenet", model.clone(), "mvq")
             .spec(spec.clone())
             .seed(11)
             .stream(StreamConfig::default().with_workers(2))
             .build()
             .unwrap();
-        let mut ticket = service.submit_model(request.clone());
+        let mut ticket = service.submit_one(request.clone());
         assert!(ticket.progress().is_some(), "model tickets expose progress from submission");
 
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
@@ -427,7 +445,7 @@ mod tests {
         );
 
         // a second submission answers from the cache without streaming
-        let warm = service.submit_model(request);
+        let warm = service.submit_one(request);
         let warm_outcome = warm.wait().unwrap();
         assert!(warm_outcome.from_cache);
         assert_eq!(
@@ -449,7 +467,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         let model = mvq_nn::models::tiny_cnn(4, 8, &mut rng);
         let request = |name: &str| {
-            ModelCompressionRequest::builder(name, model.clone(), "mvq")
+            CompressionRequest::model_builder(name, model.clone(), "mvq")
                 .spec(PipelineSpec { k: 8, ..PipelineSpec::default() })
                 .seed(5)
                 .build()
@@ -458,8 +476,8 @@ mod tests {
         // zero workers: nothing executes, so the rider deterministically
         // attaches to the queued job
         let service = CompressionService::builder().workers(0).queue_capacity(8).build().unwrap();
-        let first = service.submit_model(request("a"));
-        let rider = service.submit_model(request("b"));
+        let first = service.submit_one(request("a"));
+        let rider = service.submit_one(request("b"));
         assert_eq!(service.queued(), 1, "the duplicate must not occupy a queue slot");
         assert_eq!(first.key(), rider.key());
         assert!(rider.progress().is_some(), "riders observe the executing job's progress");
@@ -472,15 +490,15 @@ mod tests {
     fn model_requests_validate_at_build() {
         let mut rng = StdRng::seed_from_u64(23);
         let model = mvq_nn::models::tiny_cnn(4, 8, &mut rng);
-        let unknown = ModelCompressionRequest::builder("m", model.clone(), "vqgan").build();
+        let unknown = CompressionRequest::model_builder("m", model.clone(), "vqgan").build();
         assert!(matches!(unknown, Err(MvqError::InvalidConfig(_))));
-        let empty_name = ModelCompressionRequest::builder("", model, "mvq").build();
+        let empty_name = CompressionRequest::model_builder("", model, "mvq").build();
         assert!(matches!(empty_name, Err(MvqError::InvalidConfig(_))));
         let convless =
-            ModelCompressionRequest::builder("m", mvq_nn::Sequential::new(vec![]), "mvq").build();
+            CompressionRequest::model_builder("m", mvq_nn::Sequential::new(vec![]), "mvq").build();
         assert!(matches!(convless, Err(MvqError::InvalidConfig(_))));
         // aliases canonicalize, and per-matrix tickets have no progress
-        let ok = ModelCompressionRequest::builder(
+        let ok = CompressionRequest::model_builder(
             "m",
             {
                 let mut rng = StdRng::seed_from_u64(24);
@@ -491,6 +509,21 @@ mod tests {
         .build()
         .unwrap();
         assert_eq!(ok.algo(), "vq-a");
+        assert!(ok.weight().is_none());
+        assert_eq!(ok.stream(), Some(&StreamConfig::default()));
+        // a model job spills its layers to the cache, so it must read and
+        // write it
+        for mode in [CacheMode::Bypass, CacheMode::ReadOnly] {
+            let model = mvq_nn::models::tiny_cnn(4, 8, &mut StdRng::seed_from_u64(24));
+            let refused =
+                CompressionRequest::model_builder("m", model, "mvq").cache_mode(mode).build();
+            assert!(matches!(refused, Err(MvqError::InvalidConfig(_))), "{mode:?}");
+        }
+        // a stream window is meaningless for one weight matrix
+        let windowed = CompressionRequest::builder("w", weight(7), "mvq")
+            .stream(StreamConfig::default())
+            .build();
+        assert!(matches!(windowed, Err(MvqError::InvalidConfig(_))));
         let service = CompressionService::builder().workers(0).queue_capacity(4).build().unwrap();
         let matrix_ticket = service.submit_one(
             CompressionRequest::builder("w", weight(7), "mvq").spec(spec()).build().unwrap(),
@@ -515,6 +548,28 @@ mod tests {
                 assert_eq!(capacity, 2);
                 assert_eq!(request.name(), "c");
                 assert_eq!(request.seed(), Some(2));
+            }
+            other => panic!("expected QueueFull, got {other:?}"),
+        }
+        // a refused model request rides back intact too
+        let model = mvq_nn::models::tiny_cnn(4, 8, &mut StdRng::seed_from_u64(26));
+        let stream = StreamConfig::default().with_workers(3);
+        let model_request = CompressionRequest::model_builder("m", model.clone(), "mvq")
+            .spec(spec())
+            .seed(4)
+            .stream(stream.clone())
+            .build()
+            .unwrap();
+        match service.try_submit_one(model_request) {
+            Err(SubmitError::QueueFull { capacity, request }) => {
+                assert_eq!(capacity, 2);
+                assert_eq!(request.name(), "m");
+                assert_eq!(request.seed(), Some(4));
+                assert_eq!(request.stream(), Some(&stream));
+                assert_eq!(
+                    mvq_core::model_weight_hash(request.model().unwrap()),
+                    mvq_core::model_weight_hash(&model)
+                );
             }
             other => panic!("expected QueueFull, got {other:?}"),
         }

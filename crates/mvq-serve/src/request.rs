@@ -1,10 +1,11 @@
 //! Typed, construction-validated compression requests.
 //!
 //! [`CompressionRequest`] is the unit of work [`crate::CompressionService`]
-//! accepts. A request is validated by
-//! [`CompressionRequestBuilder::build`]: the algorithm name is resolved
+//! accepts: one weight matrix or one whole model. A request is validated
+//! by [`CompressionRequestBuilder::build`]: the algorithm name is resolved
 //! against the pipeline registry, the spec is compiled for that algorithm,
-//! and the weight is shape-checked, each failure a typed
+//! the weight is shape-checked (or the model checked for convs), and the
+//! options are checked against the kind of work, each failure a typed
 //! [`MvqError::InvalidConfig`]. A request that builds cannot fail
 //! admission; only the compression itself can still error (per job, as a
 //! [`crate::JobError`]).
@@ -64,24 +65,64 @@ impl CacheMode {
     }
 }
 
+/// What a request compresses.
+#[derive(Debug, Clone)]
+pub(crate) enum Work {
+    /// One weight matrix, hashed once when the request was started.
+    Matrix(HashedWeight),
+    /// Every conv of a model, streamed through the bounded-window
+    /// pipeline. `hash` is the model's [`model_weight_hash`], computed
+    /// once: both the content seed and the cache key derive from it.
+    Model { model: Sequential, hash: u64, stream: StreamConfig },
+}
+
+impl Work {
+    /// The content hash the cache key and the content seed derive from.
+    fn hash(&self) -> u64 {
+        match self {
+            Work::Matrix(weight) => weight.hash(),
+            Work::Model { hash, .. } => *hash,
+        }
+    }
+
+    /// The content-seed domain. Both strings are pinned: existing
+    /// unseeded cache blobs are keyed under them, so changing either
+    /// would orphan them.
+    fn seed_domain(&self) -> &'static [u8] {
+        match self {
+            Work::Matrix(_) => b"mvq.serve.contentseed.v1",
+            Work::Model { .. } => b"mvq.serve.modelseed.v1",
+        }
+    }
+}
+
 /// One validated unit of work for [`crate::CompressionService`]: compress
-/// `weight` with `algo` under `spec`, at `priority`, interacting with the
-/// cache per `cache_mode`.
+/// one weight matrix, or stream-compress every conv of a model, with
+/// `algo` under `spec`, at `priority`, interacting with the cache per
+/// `cache_mode`.
 ///
-/// Construct through [`CompressionRequest::builder`]; the fields are
-/// read-only afterwards so a request in the queue can never be in a state
-/// the service did not validate.
+/// Construct through [`CompressionRequest::builder`] (a weight) or
+/// [`CompressionRequest::model_builder`] (a model); the fields are
+/// read-only outside this crate, so a request in the queue can never be
+/// in a state the service did not validate.
+///
+/// A model job spills each finished layer to the service's cache under
+/// the model key's [`layer_key`](mvq_core::store::CacheKey::layer_key),
+/// bounds its in-flight working set by its [`StreamConfig`] window, and
+/// reports per-layer progress on [`crate::Ticket::progress`] while it
+/// runs. The streaming pipeline *is* a cache writer, so model requests
+/// are always [`CacheMode::ReadWrite`].
 #[derive(Debug, Clone)]
 pub struct CompressionRequest {
-    name: String,
-    weight: HashedWeight,
-    algo: &'static str,
-    spec: PipelineSpec,
-    seed: Option<u64>,
-    priority: Priority,
-    cache_mode: CacheMode,
-    deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
+    pub(crate) name: String,
+    pub(crate) work: Work,
+    pub(crate) algo: &'static str,
+    pub(crate) spec: PipelineSpec,
+    pub(crate) seed: Option<u64>,
+    pub(crate) priority: Priority,
+    pub(crate) cache_mode: CacheMode,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) cancel: Option<CancelToken>,
 }
 
 impl CompressionRequest {
@@ -98,17 +139,20 @@ impl CompressionRequest {
         weight: impl Into<HashedWeight>,
         algo: impl Into<String>,
     ) -> CompressionRequestBuilder {
-        CompressionRequestBuilder {
-            name: name.into(),
-            weight: weight.into(),
-            algo: algo.into(),
-            spec: PipelineSpec::default(),
-            seed: None,
-            priority: Priority::default(),
-            cache_mode: CacheMode::default(),
-            deadline: None,
-            cancel: None,
-        }
+        CompressionRequestBuilder::new(name.into(), Work::Matrix(weight.into()), algo.into())
+    }
+
+    /// Starts building a request to stream-compress every conv of
+    /// `model` with the registry algorithm `algo` (aliases canonicalized
+    /// at build). The model is hashed here, once.
+    pub fn model_builder(
+        name: impl Into<String>,
+        model: Sequential,
+        algo: impl Into<String>,
+    ) -> CompressionRequestBuilder {
+        let hash = model_weight_hash(&model);
+        let work = Work::Model { model, hash, stream: StreamConfig::default() };
+        CompressionRequestBuilder::new(name.into(), work, algo.into())
     }
 
     /// Caller-chosen label (e.g. a layer name); not part of the identity.
@@ -116,15 +160,38 @@ impl CompressionRequest {
         &self.name
     }
 
-    /// The weight tensor to compress.
-    pub fn weight(&self) -> &Tensor {
-        self.weight.tensor()
+    /// The weight tensor to compress; `None` for a model request.
+    pub fn weight(&self) -> Option<&Tensor> {
+        match &self.work {
+            Work::Matrix(weight) => Some(weight.tensor()),
+            Work::Model { .. } => None,
+        }
     }
 
-    /// The weight's [`mvq_core::weight_hash`], computed once when the
-    /// request was built.
-    pub(crate) fn weight_hash(&self) -> u64 {
-        self.weight.hash()
+    /// The model whose convs will be streamed; `None` for a weight
+    /// request.
+    pub fn model(&self) -> Option<&Sequential> {
+        match &self.work {
+            Work::Matrix(_) => None,
+            Work::Model { model, .. } => Some(model),
+        }
+    }
+
+    /// The streaming window/worker knobs of a model request; `None` for
+    /// a weight request. Not part of the cache identity: the streamed
+    /// result is bit-identical across window shapes.
+    pub fn stream(&self) -> Option<&StreamConfig> {
+        match &self.work {
+            Work::Matrix(_) => None,
+            Work::Model { stream, .. } => Some(stream),
+        }
+    }
+
+    /// The content hash computed once when the request was started: the
+    /// weight's [`mvq_core::weight_hash`] or the model's
+    /// [`model_weight_hash`].
+    pub(crate) fn content_hash(&self) -> u64 {
+        self.work.hash()
     }
 
     /// Canonical registry algorithm name.
@@ -168,23 +235,21 @@ impl CompressionRequest {
     /// The seed this request will actually compress with: the pinned seed
     /// or the content-derived one.
     pub(crate) fn resolved_seed(&self) -> u64 {
-        self.seed.unwrap_or_else(|| content_seed(self.weight.hash(), &self.spec, self.algo))
-    }
-
-    pub(crate) fn into_parts(
-        self,
-    ) -> (String, Tensor, &'static str, PipelineSpec, Option<Instant>, Option<CancelToken>) {
-        (self.name, self.weight.into_tensor(), self.algo, self.spec, self.deadline, self.cancel)
+        self.seed.unwrap_or_else(|| {
+            content_seed(self.work.seed_domain(), self.work.hash(), &self.spec, self.algo)
+        })
     }
 }
 
-/// Builder for [`CompressionRequest`]; see [`CompressionRequest::builder`].
+/// Builder for [`CompressionRequest`]; see [`CompressionRequest::builder`]
+/// and [`CompressionRequest::model_builder`].
 #[derive(Debug, Clone)]
 pub struct CompressionRequestBuilder {
     name: String,
-    weight: HashedWeight,
+    work: Work,
     algo: String,
     spec: PipelineSpec,
+    stream: Option<StreamConfig>,
     seed: Option<u64>,
     priority: Priority,
     cache_mode: CacheMode,
@@ -193,9 +258,32 @@ pub struct CompressionRequestBuilder {
 }
 
 impl CompressionRequestBuilder {
+    fn new(name: String, work: Work, algo: String) -> CompressionRequestBuilder {
+        CompressionRequestBuilder {
+            name,
+            work,
+            algo,
+            spec: PipelineSpec::default(),
+            stream: None,
+            seed: None,
+            priority: Priority::default(),
+            cache_mode: CacheMode::default(),
+            deadline: None,
+            cancel: None,
+        }
+    }
+
     /// Sets the pipeline hyperparameters (default: [`PipelineSpec::default`]).
     pub fn spec(mut self, spec: PipelineSpec) -> Self {
         self.spec = spec;
+        self
+    }
+
+    /// Sets a model request's streaming window/worker knobs (default:
+    /// [`StreamConfig::default`]). A weight request given a window is
+    /// rejected at build.
+    pub fn stream(mut self, stream: StreamConfig) -> Self {
+        self.stream = Some(stream);
         self
     }
 
@@ -212,6 +300,8 @@ impl CompressionRequestBuilder {
     }
 
     /// Sets the cache interaction policy (default: [`CacheMode::ReadWrite`]).
+    /// A model request must stay `ReadWrite`; any other mode is rejected
+    /// at build.
     pub fn cache_mode(mut self, mode: CacheMode) -> Self {
         self.cache_mode = mode;
         self
@@ -246,32 +336,58 @@ impl CompressionRequestBuilder {
     /// # Errors
     ///
     /// Returns [`MvqError::InvalidConfig`] when the name is empty, the
-    /// weight has no elements, the algorithm is unknown, or the spec does
-    /// not compile for the algorithm (e.g. `d` not a multiple of `m` for
-    /// `mvq`).
+    /// weight has no elements, the model has no conv layers, the
+    /// algorithm is unknown, the spec does not compile for the algorithm
+    /// (e.g. `d` not a multiple of `m` for `mvq`), a weight request sets
+    /// a stream window, or a model request's cache mode is not
+    /// [`CacheMode::ReadWrite`].
     pub fn build(self) -> Result<CompressionRequest, MvqError> {
-        if self.name.is_empty() {
+        let name = self.name;
+        if name.is_empty() {
             return Err(MvqError::InvalidConfig("request name must not be empty".into()));
         }
-        if self.weight.tensor().numel() == 0 {
-            return Err(MvqError::InvalidConfig(format!(
-                "request `{}`: weight of dims {:?} has no elements",
-                self.name,
-                self.weight.tensor().dims()
-            )));
-        }
+        let work = match (self.work, self.stream) {
+            (Work::Matrix(weight), None) => {
+                if weight.tensor().numel() == 0 {
+                    return Err(MvqError::InvalidConfig(format!(
+                        "request `{name}`: weight of dims {:?} has no elements",
+                        weight.tensor().dims()
+                    )));
+                }
+                Work::Matrix(weight)
+            }
+            (Work::Matrix(_), Some(_)) => {
+                return Err(MvqError::InvalidConfig(format!(
+                    "request `{name}`: a stream window applies to model requests only"
+                )));
+            }
+            (Work::Model { model, hash, stream }, window) => {
+                let mut convs = 0usize;
+                model.visit_convs(&mut |_| convs += 1);
+                if convs == 0 {
+                    return Err(MvqError::InvalidConfig(format!(
+                        "request `{name}`: model has no conv layers to compress"
+                    )));
+                }
+                if self.cache_mode != CacheMode::ReadWrite {
+                    return Err(MvqError::InvalidConfig(format!(
+                        "request `{name}`: a model job spills its layers to the cache, so its \
+                         cache mode must be ReadWrite, not {:?}",
+                        self.cache_mode
+                    )));
+                }
+                Work::Model { model, hash, stream: window.unwrap_or(stream) }
+            }
+        };
         let algo = canonical_name(&self.algo).ok_or_else(|| {
-            MvqError::InvalidConfig(format!(
-                "request `{}`: unknown compressor `{}`",
-                self.name, self.algo
-            ))
+            MvqError::InvalidConfig(format!("request `{name}`: unknown compressor `{}`", self.algo))
         })?;
         // compiling the compressor front-loads algorithm/spec mismatches
         // (the registry's own validation) to submission time
         by_name(algo, &self.spec)?;
         Ok(CompressionRequest {
-            name: self.name,
-            weight: self.weight,
+            name,
+            work,
             algo,
             spec: self.spec,
             seed: self.seed,
@@ -283,245 +399,14 @@ impl CompressionRequestBuilder {
     }
 }
 
-/// One validated whole-model unit of work for
-/// [`crate::CompressionService::submit_model`]: stream-compress every
-/// conv of `model` with `algo` under `spec`, spilling each finished layer
-/// to the service's cache under the model key's
-/// [`layer_key`](mvq_core::store::CacheKey::layer_key) and bounding the
-/// in-flight working set by `stream`'s window.
-///
-/// Model jobs always interact with the cache read-write — the streaming
-/// pipeline *is* a cache writer by construction (layers spill as they
-/// finish), so there is no [`CacheMode`] knob here. Per-layer progress is
-/// observable on the returned [`crate::Ticket::progress`] while the job
-/// runs.
-#[derive(Debug, Clone)]
-pub struct ModelCompressionRequest {
-    name: String,
-    model: Sequential,
-    /// [`model_weight_hash`] of `model`, computed once at build: both the
-    /// content seed and the cache key derive from it.
-    model_hash: u64,
-    algo: &'static str,
-    spec: PipelineSpec,
-    stream: StreamConfig,
-    seed: Option<u64>,
-    priority: Priority,
-    deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
-}
-
-impl ModelCompressionRequest {
-    /// Starts building a request to stream-compress `model` with the
-    /// registry algorithm `algo` (aliases canonicalized at build).
-    pub fn builder(
-        name: impl Into<String>,
-        model: Sequential,
-        algo: impl Into<String>,
-    ) -> ModelCompressionRequestBuilder {
-        ModelCompressionRequestBuilder {
-            name: name.into(),
-            model,
-            algo: algo.into(),
-            spec: PipelineSpec::default(),
-            stream: StreamConfig::default(),
-            seed: None,
-            priority: Priority::default(),
-            deadline: None,
-            cancel: None,
-        }
-    }
-
-    /// Caller-chosen label; not part of the identity.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The model whose convs will be streamed.
-    pub fn model(&self) -> &Sequential {
-        &self.model
-    }
-
-    /// Canonical registry algorithm name.
-    pub fn algo(&self) -> &'static str {
-        self.algo
-    }
-
-    /// Pipeline hyperparameters.
-    pub fn spec(&self) -> &PipelineSpec {
-        &self.spec
-    }
-
-    /// The streaming window/worker knobs. Not part of the cache identity:
-    /// the streamed result is bit-identical across window shapes.
-    pub fn stream(&self) -> &StreamConfig {
-        &self.stream
-    }
-
-    /// The pinned RNG seed, if any (`None`: a deterministic content seed
-    /// is derived, as for [`CompressionRequest::seed`]).
-    pub fn seed(&self) -> Option<u64> {
-        self.seed
-    }
-
-    /// Scheduling priority.
-    pub fn priority(&self) -> Priority {
-        self.priority
-    }
-
-    /// The queue deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// The model's [`model_weight_hash`], computed once at build.
-    pub(crate) fn model_hash(&self) -> u64 {
-        self.model_hash
-    }
-
-    /// The seed this request will actually compress with.
-    pub(crate) fn resolved_seed(&self) -> u64 {
-        self.seed.unwrap_or_else(|| {
-            let mut h = Fnv1a::new();
-            h.update(b"mvq.serve.modelseed.v1");
-            h.update_u64(self.model_hash);
-            h.update_u64(self.spec.fingerprint());
-            h.update(self.algo.as_bytes());
-            h.finish()
-        })
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        String,
-        Sequential,
-        &'static str,
-        PipelineSpec,
-        StreamConfig,
-        Option<Instant>,
-        Option<CancelToken>,
-    ) {
-        (self.name, self.model, self.algo, self.spec, self.stream, self.deadline, self.cancel)
-    }
-}
-
-/// Builder for [`ModelCompressionRequest`]; see
-/// [`ModelCompressionRequest::builder`].
-#[derive(Debug, Clone)]
-pub struct ModelCompressionRequestBuilder {
-    name: String,
-    model: Sequential,
-    algo: String,
-    spec: PipelineSpec,
-    stream: StreamConfig,
-    seed: Option<u64>,
-    priority: Priority,
-    deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
-}
-
-impl ModelCompressionRequestBuilder {
-    /// Sets the pipeline hyperparameters (default: [`PipelineSpec::default`]).
-    pub fn spec(mut self, spec: PipelineSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    /// Sets the streaming window/worker knobs (default:
-    /// [`StreamConfig::default`]).
-    pub fn stream(mut self, stream: StreamConfig) -> Self {
-        self.stream = stream;
-        self
-    }
-
-    /// Pins the RNG seed (part of the cache identity).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Sets the scheduling priority (default: [`Priority::Normal`]).
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Sets an absolute queue deadline; semantics as
-    /// [`CompressionRequestBuilder::deadline`].
-    pub fn deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Shorthand for [`Self::deadline`] at `now + timeout`.
-    pub fn deadline_after(self, timeout: Duration) -> Self {
-        self.deadline(Instant::now() + timeout)
-    }
-
-    /// Attaches a cancellation token; semantics as
-    /// [`CompressionRequestBuilder::cancel_token`].
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Validates and finishes the request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MvqError::InvalidConfig`] when the name is empty, the
-    /// model has no conv layers, the algorithm is unknown, or the spec
-    /// does not compile for the algorithm.
-    pub fn build(self) -> Result<ModelCompressionRequest, MvqError> {
-        if self.name.is_empty() {
-            return Err(MvqError::InvalidConfig("request name must not be empty".into()));
-        }
-        let mut convs = 0usize;
-        self.model.visit_convs(&mut |_| convs += 1);
-        if convs == 0 {
-            return Err(MvqError::InvalidConfig(format!(
-                "request `{}`: model has no conv layers to compress",
-                self.name
-            )));
-        }
-        let algo = canonical_name(&self.algo).ok_or_else(|| {
-            MvqError::InvalidConfig(format!(
-                "request `{}`: unknown compressor `{}`",
-                self.name, self.algo
-            ))
-        })?;
-        by_name(algo, &self.spec)?;
-        Ok(ModelCompressionRequest {
-            name: self.name,
-            model_hash: model_weight_hash(&self.model),
-            model: self.model,
-            algo,
-            spec: self.spec,
-            stream: self.stream,
-            seed: self.seed,
-            priority: self.priority,
-            deadline: self.deadline,
-            cancel: self.cancel,
-        })
-    }
-}
-
 /// Deterministic seed for an unseeded request, derived from its content
-/// identity — the same weight/spec/algorithm always compresses with the
-/// same RNG stream, so unseeded work dedupes and caches across batches
-/// and processes. The domain string is pinned: existing unseeded cache
-/// blobs are keyed under it, so changing it would orphan them.
-pub(crate) fn content_seed(weight_hash: u64, spec: &PipelineSpec, canonical_algo: &str) -> u64 {
+/// identity under `domain` — the same weight (or model)/spec/algorithm
+/// always compresses with the same RNG stream, so unseeded work dedupes
+/// and caches across batches and processes.
+fn content_seed(domain: &[u8], hash: u64, spec: &PipelineSpec, canonical_algo: &str) -> u64 {
     let mut h = Fnv1a::new();
-    h.update(b"mvq.serve.contentseed.v1");
-    h.update_u64(weight_hash);
+    h.update(domain);
+    h.update_u64(hash);
     h.update_u64(spec.fingerprint());
     h.update(canonical_algo.as_bytes());
     h.finish()
@@ -575,8 +460,8 @@ mod tests {
         assert_eq!(a.resolved_seed(), b.resolved_seed());
         // one identity: the two spellings address one cache key
         let key = |r: &CompressionRequest| {
-            mvq_core::store::CacheKey::new(r.algo(), r.weight(), r.spec(), r.resolved_seed())
-                .unwrap()
+            let weight = r.weight().unwrap();
+            mvq_core::store::CacheKey::new(r.algo(), weight, r.spec(), r.resolved_seed()).unwrap()
         };
         assert_eq!(key(&a), key(&b));
     }
@@ -587,8 +472,8 @@ mod tests {
     #[test]
     fn stored_hashes_keep_seed_and_key_values() {
         let request = CompressionRequest::builder("a", weight(), "mvq").build().unwrap();
-        assert_eq!(request.weight_hash(), mvq_core::weight_hash(request.weight()));
-        assert_eq!(request.weight_hash(), 17906136501245852845);
+        assert_eq!(request.content_hash(), mvq_core::weight_hash(request.weight().unwrap()));
+        assert_eq!(request.content_hash(), 17906136501245852845);
         assert_eq!(request.resolved_seed(), 13928516773902597487);
         let hashed =
             CompressionRequest::builder("b", HashedWeight::new(weight()), "mvq").build().unwrap();
@@ -596,9 +481,9 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(24);
         let model = mvq_nn::models::tiny_cnn(4, 8, &mut rng);
-        let request = ModelCompressionRequest::builder("m", model, "mvq").build().unwrap();
-        assert_eq!(request.model_hash(), model_weight_hash(request.model()));
-        assert_eq!(request.model_hash(), 2026147136727711821);
+        let request = CompressionRequest::model_builder("m", model, "mvq").build().unwrap();
+        assert_eq!(request.content_hash(), model_weight_hash(request.model().unwrap()));
+        assert_eq!(request.content_hash(), 2026147136727711821);
         assert_eq!(request.resolved_seed(), 10879602731211789246);
     }
 

@@ -27,7 +27,7 @@ use mvq_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::request::{CacheMode, CompressionRequest, ModelCompressionRequest, Priority};
+use crate::request::{CacheMode, CompressionRequest, Priority, Work};
 use crate::ticket::{CancelKind, CancelToken, JobError, JobOutcome, JobResult, Payload, Ticket};
 
 /// Cache policy the service applies to the cache it builds: a thin,
@@ -71,22 +71,14 @@ impl CachePolicy {
 /// Why a non-blocking submission was refused.
 #[derive(Debug)]
 pub enum SubmitError {
-    /// The queue is at capacity. The request rides back in the error so
-    /// the caller can retry it without rebuilding (boxed to keep the
-    /// `Err` variant small on the happy path).
+    /// The queue is at capacity. The request — weight or model — rides
+    /// back in the error so the caller can retry it without rebuilding
+    /// (boxed to keep the `Err` variant small on the happy path).
     QueueFull {
         /// The queue capacity that was hit.
         capacity: usize,
         /// The refused request, returned intact.
         request: Box<CompressionRequest>,
-    },
-    /// The queue is at capacity; the refused whole-model request rides
-    /// back ([`crate::CompressionService::try_submit_model`]).
-    ModelQueueFull {
-        /// The queue capacity that was hit.
-        capacity: usize,
-        /// The refused request, returned intact.
-        request: Box<ModelCompressionRequest>,
     },
 }
 
@@ -98,19 +90,15 @@ impl std::fmt::Display for SubmitError {
                 "queue full ({capacity} jobs queued): request `{}` refused",
                 request.name()
             ),
-            SubmitError::ModelQueueFull { capacity, request } => write!(
-                f,
-                "queue full ({capacity} jobs queued): model request `{}` refused",
-                request.name()
-            ),
         }
     }
 }
 
 impl std::error::Error for SubmitError {}
 
-/// What a queued job compresses: one weight matrix (the original request
-/// kind) or a whole model streamed through the bounded-window pipeline.
+/// What a queued job compresses, built from the request's [`Work`]: one
+/// weight matrix or a whole model streamed through the bounded-window
+/// pipeline.
 enum JobPayload {
     /// Compress one weight tensor via `Compressor::compress_matrix`.
     Matrix { weight: Tensor },
@@ -540,6 +528,14 @@ impl CompressionService {
     /// rider with a higher priority boosts the queued job to it, so a
     /// `High` request never waits behind `Normal` work just because a
     /// `Low` duplicate arrived first.
+    ///
+    /// A model request ([`CompressionRequest::model_builder`]) streams
+    /// the model's convs through the bounded-window pipeline
+    /// ([`mvq_core::stream_compress_model`]), spilling each finished
+    /// layer to the service's cache; [`Ticket::progress`] observes the
+    /// per-layer counters from submission on (riders observe the
+    /// executing job's), and the outcome decodes via
+    /// [`JobOutcome::model_artifacts`](crate::JobOutcome::model_artifacts).
     pub fn submit_one(&self, request: CompressionRequest) -> Ticket {
         match self.enqueue(request, true) {
             Ok(ticket) => ticket,
@@ -561,12 +557,13 @@ impl CompressionService {
         self.enqueue(request, false)
     }
 
+    /// The one admission path, for weight and model work alike.
     fn enqueue(&self, request: CompressionRequest, block: bool) -> Result<Ticket, SubmitError> {
         let trace = Trace::begin(request.name());
         let seed = request.resolved_seed();
-        let key = CacheKey::from_hash(request.algo(), request.weight_hash(), request.spec(), seed)
+        let key = CacheKey::from_hash(request.algo(), request.content_hash(), request.spec(), seed)
             .expect("request algo was canonicalized at build");
-        // lint:allow(unbounded-channel) -- per-job result channel: carries at most one message per waiter, and queue depth itself is bounded by ServiceConfig
+        // lint:allow(unbounded-channel) -- per-job result channel: carries at most one message per waiter, and queue depth itself is bounded by ServiceBuilder::queue_capacity
         let (tx, rx) = mpsc::channel();
         let mut state = self.shared.state.lock().expect("service lock");
         loop {
@@ -575,13 +572,16 @@ impl CompressionService {
             if state.shutdown {
                 drop(state);
                 self.shared.metrics.counter(metric::SERVE_JOBS_SUBMITTED).inc();
+                self.shared.metrics.counter(metric::SERVE_JOBS_DISCONNECTED).inc();
                 let name = request.name().to_string();
                 let _ = tx.send(Err(JobError::Disconnected { name: name.clone() }));
                 trace.stamp(Stage::Replied);
                 if let Some(snap) = trace.finish(TraceOutcome::Error) {
                     self.shared.metrics.traces().push(snap);
                 }
-                return Ok(Ticket::new(name, key, rx, None, trace));
+                // a model ticket exposes progress whether or not it ran
+                let progress = request.model().map(|_| ProgressHandle::new());
+                return Ok(Ticket::new(name, key, rx, progress, trace));
             }
             if request.cache_mode().dedupes() {
                 if let Some(entry) = state.inflight.get_mut(&key) {
@@ -620,143 +620,38 @@ impl CompressionService {
             state = self.shared.space.wait(state).expect("service lock");
         }
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let priority = request.priority();
-        let mode = request.cache_mode();
-        let (name, weight, algo, spec, deadline, cancel) = request.into_parts();
+        let CompressionRequest {
+            name,
+            work,
+            algo,
+            spec,
+            priority,
+            cache_mode,
+            deadline,
+            cancel,
+            ..
+        } = request;
+        let (payload, progress) = match work {
+            Work::Matrix(weight) => (JobPayload::Matrix { weight: weight.into_tensor() }, None),
+            Work::Model { model, stream, .. } => {
+                let progress = ProgressHandle::new();
+                (JobPayload::Model { model, stream, progress: progress.clone() }, Some(progress))
+            }
+        };
         let waiter = Waiter { name: name.clone(), tx, cancel, deadline, trace: trace.clone() };
-        let direct = if mode.dedupes() {
+        let direct = if cache_mode.dedupes() {
             state.inflight.insert(
                 key.clone(),
                 InflightEntry {
                     waiters: vec![waiter],
                     queued: Some((seq, priority)),
-                    progress: None,
+                    progress: progress.clone(),
                 },
             );
             None
         } else {
             Some(waiter)
         };
-        let payload = JobPayload::Matrix { weight };
-        trace.stamp(Stage::Queued);
-        state.jobs.insert(
-            seq,
-            QueuedJob { key: key.clone(), algo, spec, payload, mode, direct, trace: trace.clone() },
-        );
-        state.heap.push(QueueRef { priority, seq });
-        drop(state);
-        self.shared.metrics.counter(metric::SERVE_JOBS_SUBMITTED).inc();
-        self.shared.work.notify_one();
-        Ok(Ticket::new(name, key, rx, None, trace))
-    }
-
-    /// Submits one whole-model streaming request, blocking while the
-    /// queue is full, and returns its [`Ticket`]. The job streams the
-    /// model's convs through the bounded-window pipeline
-    /// ([`mvq_core::stream_compress_model`]), spilling each finished
-    /// layer to the service's cache; [`Ticket::progress`] observes the
-    /// per-layer counters while the job runs, and the outcome decodes via
-    /// [`JobOutcome::model_artifacts`](crate::JobOutcome::model_artifacts).
-    ///
-    /// Identical in-flight model jobs (same model key) share one
-    /// streaming run — riders' tickets observe the same progress.
-    pub fn submit_model(&self, request: ModelCompressionRequest) -> Ticket {
-        match self.enqueue_model(request, true) {
-            Ok(ticket) => ticket,
-            Err(_) => {
-                // lint:allow(panic-path) -- enqueue_model(block = true) waits on the queue condvar instead of returning QueueFull; this arm only satisfies the shared signature
-                unreachable!("blocking submission never reports a full queue")
-            }
-        }
-    }
-
-    /// Non-blocking [`CompressionService::submit_model`]: refuses with
-    /// [`SubmitError::ModelQueueFull`] — handing the request back —
-    /// instead of waiting for queue space.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::ModelQueueFull`] when the queue is at
-    /// capacity.
-    pub fn try_submit_model(
-        &self,
-        request: ModelCompressionRequest,
-    ) -> Result<Ticket, SubmitError> {
-        self.enqueue_model(request, false)
-    }
-
-    fn enqueue_model(
-        &self,
-        request: ModelCompressionRequest,
-        block: bool,
-    ) -> Result<Ticket, SubmitError> {
-        let trace = Trace::begin(request.name());
-        let seed = request.resolved_seed();
-        let key = CacheKey::from_hash(request.algo(), request.model_hash(), request.spec(), seed)
-            .expect("request algo was canonicalized at build");
-        // lint:allow(unbounded-channel) -- per-job result channel: carries at most one message per waiter, and queue depth itself is bounded by ServiceConfig
-        let (tx, rx) = mpsc::channel();
-        let progress = ProgressHandle::new();
-        let mut state = self.shared.state.lock().expect("service lock");
-        loop {
-            if state.shutdown {
-                drop(state);
-                self.shared.metrics.counter(metric::SERVE_JOBS_SUBMITTED).inc();
-                let name = request.name().to_string();
-                let _ = tx.send(Err(JobError::Disconnected { name: name.clone() }));
-                trace.stamp(Stage::Replied);
-                if let Some(snap) = trace.finish(TraceOutcome::Error) {
-                    self.shared.metrics.traces().push(snap);
-                }
-                return Ok(Ticket::new(name, key, rx, Some(progress), trace));
-            }
-            // model jobs always dedupe (they are never cache-bypassing)
-            if let Some(entry) = state.inflight.get_mut(&key) {
-                let name = request.name().to_string();
-                trace.mark_deduped();
-                entry.waiters.push(Waiter {
-                    name: name.clone(),
-                    tx,
-                    cancel: request.cancel().cloned(),
-                    deadline: request.deadline(),
-                    trace: trace.clone(),
-                });
-                let progress = entry.progress.clone();
-                if let Some((seq, current)) = entry.queued {
-                    if request.priority() > current {
-                        entry.queued = Some((seq, request.priority()));
-                        state.heap.push(QueueRef { priority: request.priority(), seq });
-                    }
-                }
-                drop(state);
-                self.shared.metrics.counter(metric::SERVE_JOBS_SUBMITTED).inc();
-                self.shared.metrics.counter(metric::SERVE_JOBS_DEDUPED).inc();
-                return Ok(Ticket::new(name, key, rx, progress, trace));
-            }
-            if state.jobs.len() < self.shared.capacity {
-                break;
-            }
-            if !block {
-                return Err(SubmitError::ModelQueueFull {
-                    capacity: self.shared.capacity,
-                    request: Box::new(request),
-                });
-            }
-            state = self.shared.space.wait(state).expect("service lock");
-        }
-        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let priority = request.priority();
-        let (name, model, algo, spec, stream, deadline, cancel) = request.into_parts();
-        let waiter = Waiter { name: name.clone(), tx, cancel, deadline, trace: trace.clone() };
-        state.inflight.insert(
-            key.clone(),
-            InflightEntry {
-                waiters: vec![waiter],
-                queued: Some((seq, priority)),
-                progress: Some(progress.clone()),
-            },
-        );
-        let payload = JobPayload::Model { model, stream, progress: progress.clone() };
         trace.stamp(Stage::Queued);
         state.jobs.insert(
             seq,
@@ -765,8 +660,8 @@ impl CompressionService {
                 algo,
                 spec,
                 payload,
-                mode: CacheMode::ReadWrite,
-                direct: None,
+                mode: cache_mode,
+                direct,
                 trace: trace.clone(),
             },
         );
@@ -774,7 +669,7 @@ impl CompressionService {
         drop(state);
         self.shared.metrics.counter(metric::SERVE_JOBS_SUBMITTED).inc();
         self.shared.work.notify_one();
-        Ok(Ticket::new(name, key, rx, Some(progress), trace))
+        Ok(Ticket::new(name, key, rx, progress, trace))
     }
 }
 

@@ -153,7 +153,7 @@ impl JobOutcome {
 
     /// Decodes the assembled [`ModelArtifacts`] of a whole-model
     /// (streaming) job — see
-    /// [`crate::CompressionService::submit_model`]. This materializes
+    /// [`crate::CompressionRequest::model_builder`]. This materializes
     /// every layer at once; callers that want to stay bounded should read
     /// the per-layer blobs from the service's cache instead
     /// (`key.layer_key(conv_index)`).

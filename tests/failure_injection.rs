@@ -11,6 +11,7 @@ use mvq::core::{
 };
 use mvq::nn::layers::{Conv2d, Module, Sequential};
 use mvq::nn::NnError;
+use mvq::obs::names as metric;
 use mvq::serve::{CompressionRequest, CompressionService, JobError, SubmitError};
 use mvq::tensor::{Tensor, TensorError};
 use rand::rngs::StdRng;
@@ -457,6 +458,17 @@ fn shutdown_wakes_blocked_submitters_and_refuses_new_work() {
     // submissions after shutdown resolve immediately, typed — not a hang
     let late = service.submit_one(request("late", 2)).wait();
     assert!(matches!(late, Err(JobError::Disconnected { .. })), "{late:?}");
+    // a late model request takes the same refusal, and its ticket still
+    // exposes progress like any model ticket
+    let mut rng = StdRng::seed_from_u64(5);
+    let model = mvq::nn::models::tiny_cnn(4, 8, &mut rng);
+    let late_model = service
+        .submit_one(CompressionRequest::model_builder("late-model", model, "mvq").build().unwrap());
+    assert!(late_model.progress().is_some(), "model tickets expose progress");
+    let late_model = late_model.wait();
+    assert!(matches!(late_model, Err(JobError::Disconnected { .. })), "{late_model:?}");
+    // the woken submitter and both late ones were answered by shutdown
+    assert_eq!(service.registry().counter(metric::SERVE_JOBS_DISCONNECTED).get(), 3);
     drop(service);
     assert!(matches!(filler.wait(), Err(JobError::Disconnected { .. })));
 }
